@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import analysis, dynamics, nist
+from . import analysis, core, dynamics, nist
 from .core import InvalidKeyError, MapKey, ctm_key, make_key, orbit_chunks
 from .ent import ent_battery
 from .prbg import pack_bytes, quantize_values
@@ -125,6 +125,7 @@ def cmd_generate(args) -> int:
             "burn_in": args.burn_in,
             "format": args.format,
             "pad_bits": pad,
+            "kernel": core.KERNEL,
         }
         _write_json(args.output + ".meta.json", meta)
     return 0
@@ -150,6 +151,7 @@ def cmd_export(args) -> int:
         "burn_in": args.burn_in,
         "format": args.format,
         "files": files,
+        "kernel": core.KERNEL,
     }
     _write_json(f"{args.output}_manifest.json", manifest)
     return 0
@@ -223,6 +225,7 @@ def cmd_test_nist(args) -> int:
         "stream_meta": {**report.stream_meta, "burn_in": args.burn_in},
         "entries": [asdict(e) for e in report.entries],
         "passed": report.passed,
+        "kernel": core.KERNEL,
     }
     _write_json(args.output, payload)
     if not report.passed:
@@ -262,6 +265,7 @@ def cmd_test_ent(args) -> int:
         "thresholds": _jsonable(ENT_THRESHOLDS),
         "checks": checks,
         "passed": all(checks.values()),
+        "kernel": core.KERNEL,
     }
     _write_json(args.output, payload)
     if not payload["passed"]:

@@ -11,10 +11,18 @@ reproducible for a fixed key.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import math
+import os
 import struct
+import subprocess
+import sys
+import tempfile
+import types
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -185,6 +193,89 @@ def log_derivative(x: float, key: MapKey) -> float:
     return math.log(key.mu)
 
 
+_SOURCE = Path(__file__).with_name("_orbit.c")
+# the output path follows; the library name hashes everything else
+_CC = ("gcc", "-O2", "-ffp-contract=off", "-fPIC", "-shared", "-x", "c", "-", "-lm", "-o")
+
+
+def _build() -> Path:
+    """Compile ``_orbit.c`` into a private cache once; returns the library path.
+
+    The cache must be writable by its owner (this user or root) alone: a
+    library loaded into the process must not be one another user planted.
+    The name carries the sha256 of the source and the compile command, and
+    the library is renamed into place whole, so no process loads half a file.
+    """
+    if os.name != "posix":
+        raise OSError("the orbit kernel is built only on POSIX systems")
+    source = _SOURCE.read_bytes()
+    tag = hashlib.sha256(source + " ".join(_CC).encode()).hexdigest()[:16]
+    cache = _SOURCE.parent / "__pycache__" / "rctm_orbit"
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    st = cache.stat()
+    if st.st_uid not in (os.getuid(), 0) or st.st_mode & 0o022:
+        raise PermissionError(f"{cache} is not private to this user")
+    lib = cache / f"_orbit-{tag}.so"
+    if not lib.exists():
+        with tempfile.TemporaryDirectory(dir=cache) as tmp:
+            out = os.path.join(tmp, lib.name)
+            subprocess.run([*_CC, out], input=source, capture_output=True, check=True)
+            os.replace(out, lib)
+    return lib
+
+
+@functools.cache
+def _kernel():
+    """The compiled orbit loop, or None when it cannot be built or loaded."""
+    try:
+        fn = ctypes.CDLL(str(_build())).rctm_orbit
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+    fn.argtypes = [ctypes.c_double] * 4 + [ctypes.c_int, ctypes.c_double,
+                                           ctypes.c_int64, ctypes.c_int64, out]
+    fn.restype = ctypes.c_double
+    return fn
+
+
+def _orbit_py(mu, n1, n2, s, tent, x, skip, n, out):
+    """Pure-Python mirror of ``rctm_orbit`` in ``_orbit.c``, for when it cannot be built."""
+    for i in range(-skip, n):
+        if i >= 0:
+            out[i] = x
+        t = mu * x if x < 0.5 else mu * (1.0 - x)
+        if not tent:
+            t -= math.floor(t)
+            if n1 <= x <= n2:
+                t = 0.0 if t > s else t / s
+        x = t
+    return x
+
+
+def _orbit(key: MapKey, x: float, skip: int, out: np.ndarray) -> float:
+    """Fill ``out`` with the orbit from state x after skip discarded iterates;
+    returns the state that follows the last one written."""
+    loop = _kernel() or _orbit_py
+    return loop(key.mu, key.n1, key.n2, key.scale, key.is_ctm, x, skip, out.size, out)
+
+
+class _CoreModule(types.ModuleType):
+    @property
+    def KERNEL(self) -> str:
+        """Orbit loop in use: "c" (compiled ``_orbit.c``) or "python" (fallback)."""
+        return "python" if _kernel() is None else "c"
+
+
+sys.modules[__name__].__class__ = _CoreModule
+
+
+def _check_counts(n: int, burn_in: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+
+
 def orbit_chunks(key: MapKey, n: int, burn_in: int = 0,
                  chunk: int = _CHUNK) -> Iterator[np.ndarray]:
     """Yield the orbit of ``key`` as float64 arrays totalling ``n`` values.
@@ -193,47 +284,13 @@ def orbit_chunks(key: MapKey, n: int, burn_in: int = 0,
     burn_in iterates are discarded.  Streaming keeps memory flat for long
     runs (bit generation, battery segmentation).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-    mu = key.mu
-    n1, n2 = key.n1, key.n2
-    x = key.x0
-    floor = math.floor
-    if key.is_ctm:
-        for _ in range(burn_in):
-            x = mu * x if x < 0.5 else mu * (1.0 - x)
-        remaining = n
-        while remaining:
-            m = min(chunk, remaining)
-            buf = [0.0] * m
-            for i in range(m):
-                buf[i] = x
-                x = mu * x if x < 0.5 else mu * (1.0 - x)
-            yield np.asarray(buf)
-            remaining -= m
-        return
-    s = key.scale
-    for _ in range(burn_in):
-        t = mu * x if x < 0.5 else mu * (1.0 - x)
-        t -= floor(t)
-        if n1 <= x <= n2:
-            t = 0.0 if t > s else t / s
-        x = t
-    remaining = n
-    while remaining:
-        m = min(chunk, remaining)
-        buf = [0.0] * m
-        for i in range(m):
-            buf[i] = x
-            t = mu * x if x < 0.5 else mu * (1.0 - x)
-            t -= floor(t)
-            if n1 <= x <= n2:
-                t = 0.0 if t > s else t / s
-            x = t
-        yield np.asarray(buf)
-        remaining -= m
+    _check_counts(n, burn_in)
+    x, skip = key.x0, burn_in
+    for start in range(0, n, chunk):
+        block = np.empty(min(chunk, n - start))
+        x = _orbit(key, x, skip, block)
+        skip = 0
+        yield block
 
 
 def iterate(key: MapKey, n: int, burn_in: int = 0) -> Trajectory:
@@ -241,40 +298,22 @@ def iterate(key: MapKey, n: int, burn_in: int = 0) -> Trajectory:
 
     Pure function of (key, n, burn_in); repeated calls are bit-identical.
     """
-    out = np.empty(n, dtype=np.float64)
-    pos = 0
-    for block in orbit_chunks(key, n, burn_in):
-        out[pos:pos + block.size] = block
-        pos += block.size
+    _check_counts(n, burn_in)
+    out = np.empty(n)
+    _orbit(key, key.x0, burn_in, out)
     return Trajectory(values=out, key=key, burn_in=burn_in)
 
 
 def iterate_batch(keys: Sequence[MapKey], n: int, burn_in: int = 0) -> np.ndarray:
-    """Orbits of several keys at once, one row per key.
+    """Orbits of several keys, one row per key.
 
-    Vectorizes across keys (states along one orbit stay sequential) and is
-    bit-identical to per-key :func:`iterate`.
+    Runs the orbit loop once per key; row i is bit-identical to
+    ``iterate(keys[i], n, burn_in).values``.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    _check_counts(n, burn_in)
     if not keys:
         raise ValueError("keys must be non-empty")
-    mu = np.array([k.mu for k in keys])
-    x = np.array([k.x0 for k in keys])
-    n1 = np.array([k.n1 for k in keys])
-    n2 = np.array([k.n2 for k in keys])
-    s = (0.5 * mu) % 1.0
-    ctm = mu <= MU_MIN
-    safe_s = np.where(s == 0.0, 1.0, s)  # mu == 2 only; those rows stay on the tent arm
-    out = np.empty((len(keys), n), dtype=np.float64)
-    for i in range(burn_in + n):
-        if i >= burn_in:
-            out[:, i - burn_in] = x
-        y = np.where(x < 0.5, mu * x, mu * (1.0 - x))
-        t = y - np.floor(y)
-        scaled = (x >= n1) & (x <= n2) & ~ctm
-        q = np.where(t > s, 0.0, t / safe_s)  # fold boundary wrap artifacts to 0
-        x = np.where(ctm, y, np.where(scaled, q, t))
+    out = np.empty((len(keys), n))
+    for key, row in zip(keys, out):
+        _orbit(key, key.x0, burn_in, row)
     return out

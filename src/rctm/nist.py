@@ -174,7 +174,7 @@ def longest_run(bits) -> tuple[float, float]:
 
 def _cusum(bits, reverse: bool) -> tuple[float, float]:
     b = _as_bits(bits)
-    _require("cusum_forward", b.size)
+    _require("cusum_reverse" if reverse else "cusum_forward", b.size)
     x = 2 * b.astype(np.int64) - 1
     if reverse:
         x = x[::-1]

@@ -170,6 +170,19 @@ class TestBatteries:
         assert _jsonable({"stat": float("nan")}) == {"stat": None}
 
 
+class TestKernelField:
+    @pytest.mark.parametrize("argv,report", [
+        (["generate", "--bits", 100, "--meta", "-o", "s.bin"], "s.bin.meta.json"),
+        (["export", "--bits", 100, "--segments", 2, "-o", "seg"], "seg_manifest.json"),
+        (["test-nist", "--streams", 2, "--bits", 1000, "-o", "nist.json"], "nist.json"),
+        (["test-ent", "--bytes", 1000, "-o", "ent.json"], "ent.json"),
+    ])
+    def test_reports_name_the_orbit_kernel(self, kernel, tmp_path, monkeypatch, argv, report):
+        monkeypatch.chdir(tmp_path)
+        run([*argv, "--mu", 61.81, "--x0", 0.23])
+        assert json.loads((tmp_path / report).read_text())["kernel"] == kernel
+
+
 class TestSweepCommand:
     def test_correlation_sweep_json_and_csv(self, tmp_path):
         out = tmp_path / "sweep.json"

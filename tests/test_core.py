@@ -1,8 +1,17 @@
+import ctypes
 import math
+import os
+import shutil
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import FAILING_CC
+from rctm import core
 from rctm.core import (
     InvalidKeyError,
     MapKey,
@@ -12,6 +21,7 @@ from rctm.core import (
     iterate_batch,
     log_derivative,
     make_key,
+    orbit_chunks,
     rctm_step,
     region_bounds,
 )
@@ -258,3 +268,81 @@ class TestTrajectoryType:
         key = make_key(61.81, 0.23)
         assert region_bounds(61.81) == (key.n1, key.n2)
         assert isinstance(key, MapKey)
+
+
+def _reference_orbit(key, n, burn_in=0):
+    """Chained reference steps: the oracle every orbit path must match."""
+    step = (lambda v: ctm_step(v, key.mu)) if key.is_ctm else (lambda v: rctm_step(v, key))
+    x = key.x0
+    for _ in range(burn_in):
+        x = step(x)
+    out = []
+    for _ in range(n):
+        out.append(x)
+        x = step(x)
+    return np.array(out)
+
+
+def edge_keys():
+    """Random and tent keys started on and just outside the region bounds,
+    at 1/2 (which goes 1/2 -> 1 -> 0) and at a tiny state."""
+    keys = []
+    for base in random_keys(200, seed=11) + [ctm_key(1.7, 0.3), ctm_key(2.0, 0.61),
+                                             ctm_key(0.9, 0.4)]:
+        starts = (base.n1, base.n2, np.nextafter(base.n1, 0.0), np.nextafter(base.n2, 1.0),
+                  0.5, 1e-300)
+        keys += [replace(base, x0=float(x0)) for x0 in starts if 0.0 < x0 < 1.0]
+    return keys
+
+
+class TestKernel:
+    def test_orbit_paths_equal_chained_reference_steps(self, kernel):
+        keys = edge_keys()
+        batch = iterate_batch(keys, 150)
+        for key, row in zip(keys, batch):
+            expected = _reference_orbit(key, 150)
+            assert np.array_equal(iterate(key, 150).values, expected)
+            assert np.array_equal(row, expected)
+            chunks = np.concatenate(list(orbit_chunks(key, 140, burn_in=10, chunk=37)))
+            assert np.array_equal(chunks, expected[10:])
+
+    def test_kernel_attribute_is_read_only(self, kernel):
+        assert core.KERNEL == kernel
+        with pytest.raises(AttributeError):
+            core.KERNEL = "c"
+
+    def test_failed_build_leaves_no_partial_library(self, monkeypatch):
+        cache = core._SOURCE.parent / "__pycache__" / "rctm_orbit"
+        before = sorted(cache.iterdir()) if cache.exists() else []
+        monkeypatch.setattr(core, "_CC", FAILING_CC)
+        with pytest.raises(subprocess.CalledProcessError):
+            core._build()
+        assert sorted(cache.iterdir()) == before
+
+    def test_build_refuses_a_cache_others_can_write(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "_SOURCE", tmp_path / "_orbit.c")
+        shutil.copy(Path(core.__file__).with_name("_orbit.c"), core._SOURCE)
+        cache = tmp_path / "__pycache__" / "rctm_orbit"
+        cache.mkdir(parents=True)
+        cache.chmod(0o777)
+        with pytest.raises(PermissionError):
+            core._build()
+        assert list(cache.iterdir()) == []
+        cache.chmod(0o700)
+        lib = core._build()
+        assert list(cache.iterdir()) == [lib]
+        assert ctypes.CDLL(str(lib)).rctm_orbit
+
+    def test_concurrent_first_builds_all_load_one_library(self, tmp_path):
+        shutil.copy(Path(core.__file__).with_name("_orbit.c"), tmp_path / "_orbit.c")
+        script = ("import sys, pathlib; from rctm import core; "
+                  "core._SOURCE = pathlib.Path(sys.argv[1]); print(core.KERNEL)")
+        env = {**os.environ, "PYTHONPATH": str(Path(core.__file__).parents[1])}
+        procs = [subprocess.Popen([sys.executable, "-c", script, str(tmp_path / "_orbit.c")],
+                                  env=env, stdout=subprocess.PIPE, text=True)
+                 for _ in range(4)]
+        outputs = [p.communicate(timeout=120)[0].strip() for p in procs]
+        assert [p.returncode for p in procs] == [0] * 4
+        assert outputs == ["c"] * 4
+        built = list((tmp_path / "__pycache__" / "rctm_orbit").iterdir())
+        assert len(built) == 1 and built[0].suffix == ".so"

@@ -3,7 +3,8 @@
 The digests were pinned from the pure-Python orbit loop.  Every way of
 computing an orbit must reproduce them bit for bit: they cover the tent
 arm and the robust arm, burn-in 0 and 1000, a batch of keys against the
-scalar path, the bit and byte generators, and what the CLI writes.
+scalar path, the bit and byte generators, and what the CLI writes.  Each
+test runs on the compiled orbit kernel and on its Python fallback.
 """
 
 import hashlib
@@ -105,9 +106,9 @@ PINNED = {
 }
 
 
-def test_library_digests_are_pinned():
+def test_library_digests_are_pinned(kernel):
     assert library_digests() == {k: v for k, v in PINNED.items() if not k.startswith("cli/")}
 
 
-def test_cli_digests_are_pinned(tmp_path):
+def test_cli_digests_are_pinned(kernel, tmp_path):
     assert cli_digests(tmp_path) == {k: v for k, v in PINNED.items() if k.startswith("cli/")}

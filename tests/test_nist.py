@@ -166,6 +166,11 @@ class TestCusum:
         bits = rng.integers(0, 2, size=2000, dtype=np.uint8)
         assert cusum_forward(bits[::-1]) == cusum_reverse(bits)
 
+    @pytest.mark.parametrize("test", [cusum_forward, cusum_reverse])
+    def test_too_short_names_its_direction(self, test):
+        with pytest.raises(ValueError, match=f"^{test.__name__} needs at least 2 bits"):
+            test(np.ones(1, dtype=np.uint8))
+
 
 class TestApproximateEntropy:
     def test_known_vector_10(self):
