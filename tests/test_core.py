@@ -270,12 +270,10 @@ class TestTrajectoryType:
         assert isinstance(key, MapKey)
 
 
-def _reference_orbit(key, n, burn_in=0):
+def _reference_orbit(key, n):
     """Chained reference steps: the oracle every orbit path must match."""
     step = (lambda v: ctm_step(v, key.mu)) if key.is_ctm else (lambda v: rctm_step(v, key))
     x = key.x0
-    for _ in range(burn_in):
-        x = step(x)
     out = []
     for _ in range(n):
         out.append(x)
