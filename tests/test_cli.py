@@ -101,6 +101,13 @@ class TestExport:
         whole, _ = pack_bytes(generate_bits(make_key(61.81, 0.23), 2400))
         assert joined == whole
 
+    def test_zero_segments_exits_1(self, tmp_path, capsys):
+        prefix = tmp_path / "seg"
+        assert run(["export", "--mu", 61.81, "--x0", 0.23, "--bits", 800,
+                    "--segments", 0, "-o", prefix]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.iterdir())
+
 
 class TestDynamicsCommand:
     def test_bifurcation_csv(self, tmp_path):
@@ -133,6 +140,14 @@ class TestDynamicsCommand:
                     "--format", "json", "-o", out]) == 0
         data = json.loads(out.read_text())
         assert data["points"][0]["coverage"] == 1.0
+
+    def test_coverage_rejects_integer_mu(self, tmp_path, capsys):
+        # unlike the grid commands, which skip such mu, a coverage key is checked
+        out = tmp_path / "cov.csv"
+        assert run(["analyze-dynamics", "--what", "coverage", "--mu", 4.0,
+                    "--iterations", 1000, "-o", out]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
 
 class TestBatteries:

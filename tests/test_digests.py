@@ -62,8 +62,19 @@ def library_digests() -> dict[str, str]:
     return out
 
 
+DYNAMICS_ARGS = {
+    "bifurcation": ["--mu-min", "1.5", "--mu-max", "6.0", "--grid-points", "4",
+                    "--x0", "0.23", "--settle", "50", "--keep", "10"],
+    "lyapunov": ["--mu-min", "1.5", "--mu-max", "90.5", "--grid-points", "4",
+                 "--iterations", "2000", "--burn-in", "10"],
+    "coverage": ["--mu-min", "1.9", "--mu-max", "20.33", "--grid-points", "3",
+                 "--iterations", "2000", "--bins", "50"],
+}
+
+
 def cli_digests(tmp_path) -> dict[str, str]:
-    """Digests of the files written by generate and export and of the test-ent values."""
+    """Digests of the files written by generate, export, analyze-dynamics and
+    keyspace and of the test-ent values."""
     out = {}
     raw = tmp_path / "s.bin"
     assert cli.main(["generate", "--mu", "97.3", "--x0", "0.611", "--bits", str(BITS),
@@ -81,6 +92,15 @@ def cli_digests(tmp_path) -> dict[str, str]:
                      "-o", str(report)]) == 2
     values = json.loads(report.read_text())["report"]
     out["cli/test_ent_report"] = _sha(json.dumps(values, sort_keys=True).encode())
+    for what, args in DYNAMICS_ARGS.items():
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"{what}.{fmt}"
+            assert cli.main(["analyze-dynamics", "--what", what, *args,
+                             "--format", fmt, "-o", str(path)]) == 0
+            out[f"cli/dynamics_{what}_{fmt}"] = _sha(path.read_bytes())
+    keyspace = tmp_path / "keyspace.json"
+    assert cli.main(["keyspace", "--precision-exponent", "-12", "-o", str(keyspace)]) == 0
+    out["cli/keyspace"] = _sha(keyspace.read_bytes())
     return out
 
 
@@ -103,6 +123,13 @@ PINNED = {
     "cli/export_ascii/1": "2441f86f56d2e3c21ee35bcd1f695f909b6cc318eaf871302f72bd88b41329db",
     "cli/export_ascii/2": "28a019a630cf4492820105a9deb907ef325507f39251db2d1eedaffd1c856e73",
     "cli/test_ent_report": "6122277ecfe75c900d07f3b46b6c2632b010a4d3b5c62fd36e6bcd4ddfb7f173",
+    "cli/dynamics_bifurcation_csv": "4aa08551784ce3e0dd560838969055f1e017ed3bca0f6e4fe4630ec4b3070fe8",
+    "cli/dynamics_bifurcation_json": "32ff3f996d1e805ef8c7acef049949bc003d118ed13ee3c86b7c1be48d4da34e",
+    "cli/dynamics_lyapunov_csv": "f17fa38cfcb860fa9ded7cfea4a2800dc15303e625be24b215ecc9684773afac",
+    "cli/dynamics_lyapunov_json": "00ff1b40ef408271ad24ddef7533f00e35af1a36226034344e59503532571ea9",
+    "cli/dynamics_coverage_csv": "eeaf130aa9d8b9dc9f740269fcad27d690369d7d78fccdeffa768f2415b66a49",
+    "cli/dynamics_coverage_json": "f063a6fd13729ba845ad37502571cbc61b4fe97358e060a8c3c556168728d8db",
+    "cli/keyspace": "07091089e55a47eada195279476755c59f35b170b69544deb19a9b610fb3d304",
 }
 
 
