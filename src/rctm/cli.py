@@ -18,9 +18,10 @@ from dataclasses import asdict
 import numpy as np
 
 from . import analysis, core, dynamics, nist
-from .core import InvalidKeyError, MapKey, ctm_key, make_key, orbit_chunks
+from .core import MapKey, ctm_key, make_key
 from .ent import ent_battery
-from .prbg import pack_bytes, quantize_values
+from .prbg import (DEGENERATE_TAIL, generate_bits, orbit_stream, pack_bytes,
+                   quantize_values, segmented_streams)
 
 # ENT gate values, calibrated for the standard 10^6-byte battery run
 ENT_THRESHOLDS = {
@@ -30,8 +31,6 @@ ENT_THRESHOLDS = {
     "max_pi_error_pct": 0.5,
     "chi_square_percentile_range": (1.0, 99.0),
 }
-
-DEGENERATE_TAIL = 100
 
 
 def _parse_float(text: str) -> float:
@@ -81,28 +80,18 @@ def _key_meta(key: MapKey) -> dict:
     }
 
 
-def _stream_bits(key: MapKey, n: int, burn_in: int) -> tuple[np.ndarray, bool]:
-    """Bits plus a degenerate-tail flag (last 100 samples identical)."""
-    chunks = []
-    tail = np.empty(0)
-    for block in orbit_chunks(key, n, burn_in):
-        chunks.append((block >= 0.5).astype(np.uint8))
-        tail = np.concatenate([tail, block])[-DEGENERATE_TAIL:]
-    bits = np.concatenate(chunks)
-    degenerate = tail.size >= DEGENERATE_TAIL and bool(np.all(tail == tail[0]))
-    return bits, degenerate
-
-
-def _warn_degenerate() -> None:
-    print(f"warning: degenerate orbit, last {DEGENERATE_TAIL} samples identical "
-          "(stream written anyway)", file=sys.stderr)
+def _warn_if_degenerate(degenerate: bool) -> bool:
+    if degenerate:
+        print(f"warning: degenerate orbit, last {DEGENERATE_TAIL} samples identical "
+              "(stream written anyway)", file=sys.stderr)
+    return degenerate
 
 
 def _write_bits(path: str, bits: np.ndarray, fmt: str) -> int:
     """Write a bit array in the chosen format; returns raw pad bit count."""
     if fmt == "ascii-bits":
         with open(path, "wb") as fh:
-            fh.write((bits + ord("0")).astype(np.uint8).tobytes())
+            fh.write(np.add(bits, ord("0"), dtype=np.uint8))
             fh.write(b"\n")
         return 0
     payload, pad = pack_bytes(bits)
@@ -113,10 +102,9 @@ def _write_bits(path: str, bits: np.ndarray, fmt: str) -> int:
 
 def cmd_generate(args) -> int:
     key = make_key(args.mu, args.x0)
-    bits, degenerate = _stream_bits(key, args.bits, args.burn_in)
-    if degenerate:
-        _warn_degenerate()
-    pad = _write_bits(args.output, bits, args.format)
+    stream = generate_bits(key, args.bits, args.burn_in)
+    degenerate = _warn_if_degenerate(stream.degenerate)
+    pad = _write_bits(args.output, stream.bits, args.format)
     if args.meta:
         meta = {
             "command": "generate",
@@ -125,6 +113,7 @@ def cmd_generate(args) -> int:
             "burn_in": args.burn_in,
             "format": args.format,
             "pad_bits": pad,
+            "degenerate_tail": degenerate,
             "kernel": core.KERNEL,
         }
         _write_json(args.output + ".meta.json", meta)
@@ -133,15 +122,13 @@ def cmd_generate(args) -> int:
 
 def cmd_export(args) -> int:
     key = make_key(args.mu, args.x0)
-    bits, degenerate = _stream_bits(key, args.segments * args.bits, args.burn_in)
-    if degenerate:
-        _warn_degenerate()
+    segments = segmented_streams(key, args.segments, args.bits, args.burn_in)
+    degenerate = _warn_if_degenerate(segments[0].degenerate)
     ext = "txt" if args.format == "ascii-bits" else "bin"
     files = []
-    for i in range(args.segments):
-        seg = bits[i * args.bits:(i + 1) * args.bits]
+    for i, seg in enumerate(segments):
         path = f"{args.output}_{i:03d}.{ext}"
-        pad = _write_bits(path, seg, args.format)
+        pad = _write_bits(path, seg.bits, args.format)
         files.append({"file": path, "segment": i, "bits": args.bits, "pad_bits": pad})
     manifest = {
         "command": "export",
@@ -151,6 +138,7 @@ def cmd_export(args) -> int:
         "burn_in": args.burn_in,
         "format": args.format,
         "files": files,
+        "degenerate_tail": degenerate,
         "kernel": core.KERNEL,
     }
     _write_json(f"{args.output}_manifest.json", manifest)
@@ -173,56 +161,43 @@ def cmd_analyze_dynamics(args) -> int:
                                              settle=args.settle, keep=args.keep)
         if result.skipped_mu:
             print(f"skipped unsupported mu values: {result.skipped_mu}", file=sys.stderr)
-        if args.format == "csv":
-            _write_csv(args.output, ["mu", "x"],
-                       ((repr(p.mu), repr(p.x)) for p in result.points))
-        else:
-            _write_json(args.output, {
-                "what": "bifurcation", "x0": args.x0,
-                "settle": result.settle, "keep": result.keep,
-                "skipped_mu": result.skipped_mu,
-                "points": [[p.mu, p.x] for p in result.points],
-            })
+        header, rows = ["mu", "x"], [(p.mu, p.x) for p in result.points]
+        doc = {"what": "bifurcation", "x0": args.x0, "settle": result.settle,
+               "keep": result.keep, "skipped_mu": result.skipped_mu,
+               "points": [list(row) for row in rows]}
     elif args.what == "lyapunov":
         estimates = dynamics.lyapunov_grid(_mu_grid(args), args.x0,
                                            n=args.iterations, burn_in=args.burn_in)
-        if args.format == "csv":
-            _write_csv(args.output, ["mu", "lambda"],
-                       ((repr(e.mu), repr(e.exponent)) for e in estimates))
-        else:
-            _write_json(args.output, {
-                "what": "lyapunov", "x0": args.x0, "iterations": args.iterations,
-                "burn_in": args.burn_in,
-                "estimates": [{"mu": e.mu, "lambda": e.exponent,
-                               "n_samples": e.n_samples} for e in estimates],
-            })
+        header, rows = ["mu", "lambda"], [(e.mu, e.exponent) for e in estimates]
+        doc = {"what": "lyapunov", "x0": args.x0, "iterations": args.iterations,
+               "burn_in": args.burn_in,
+               "estimates": [{"mu": e.mu, "lambda": e.exponent,
+                              "n_samples": e.n_samples} for e in estimates]}
     else:
-        rows = []
-        for mu in _mu_grid(args):
-            cov = dynamics.phase_coverage(_dynamics_key(mu, args.x0),
-                                          n=args.iterations, bins=args.bins)
-            rows.append((mu, cov))
-        if args.format == "csv":
-            _write_csv(args.output, ["mu", "coverage"],
-                       ((repr(mu), repr(cov)) for mu, cov in rows))
-        else:
-            _write_json(args.output, {
-                "what": "coverage", "x0": args.x0, "iterations": args.iterations,
-                "bins": args.bins,
-                "points": [{"mu": mu, "coverage": cov} for mu, cov in rows],
-            })
+        header, rows = ["mu", "coverage"], [
+            (mu, dynamics.phase_coverage(_dynamics_key(mu, args.x0),
+                                         n=args.iterations, bins=args.bins))
+            for mu in _mu_grid(args)]
+        doc = {"what": "coverage", "x0": args.x0, "iterations": args.iterations,
+               "bins": args.bins,
+               "points": [{"mu": mu, "coverage": cov} for mu, cov in rows]}
+    if args.format == "csv":
+        _write_csv(args.output, header, ((repr(mu), repr(v)) for mu, v in rows))
+    else:
+        _write_json(args.output, doc)
     return 0
 
 
 def cmd_test_nist(args) -> int:
-    from .prbg import segmented_streams
     key = make_key(args.mu, args.x0)
     streams = segmented_streams(key, args.streams, args.bits, burn_in=args.burn_in)
+    degenerate = _warn_if_degenerate(streams[0].degenerate)
     report = nist.nist_battery(streams)
     payload = {
         "battery": report.battery,
         "alpha": report.alpha,
-        "stream_meta": {**report.stream_meta, "burn_in": args.burn_in},
+        "stream_meta": {**report.stream_meta, "burn_in": args.burn_in,
+                        "degenerate_tail": degenerate},
         "entries": [asdict(e) for e in report.entries],
         "passed": report.passed,
         "kernel": core.KERNEL,
@@ -249,18 +224,14 @@ def _ent_checks(report) -> dict[str, bool]:
 
 def cmd_test_ent(args) -> int:
     key = make_key(args.mu, args.x0)
-    chunks = []
-    tail = np.empty(0)
-    for block in orbit_chunks(key, args.bytes, args.burn_in):
-        chunks.append(quantize_values(block))
-        tail = np.concatenate([tail, block])[-DEGENERATE_TAIL:]
-    if tail.size >= DEGENERATE_TAIL and bool(np.all(tail == tail[0])):
-        _warn_degenerate()
-    report = ent_battery(np.concatenate(chunks))
+    data, degenerate = orbit_stream(key, args.bytes, args.burn_in, quantize_values)
+    _warn_if_degenerate(degenerate)
+    report = ent_battery(data)
     checks = _ent_checks(report)
     payload = {
         "battery": "ent",
-        "stream_meta": {**_key_meta(key), "bytes": args.bytes, "burn_in": args.burn_in},
+        "stream_meta": {**_key_meta(key), "bytes": args.bytes, "burn_in": args.burn_in,
+                        "degenerate_tail": degenerate},
         "report": asdict(report),
         "thresholds": _jsonable(ENT_THRESHOLDS),
         "checks": checks,
@@ -275,27 +246,24 @@ def cmd_test_ent(args) -> int:
     return 0
 
 
-def _sweep_payload(result: analysis.SweepResult) -> dict:
-    return {
-        "base_key": _key_meta(result.base_key),
-        "vary": result.vary,
-        "delta": result.delta,
-        "delta_hex": float(result.delta).hex(),
-        "pairs": result.pairs,
-        "length": result.length,
-        "burn_in": result.burn_in,
-        "skipped_offsets": list(result.skipped_offsets),
-        "aggregates": result.aggregates(),
-    }
-
-
 def cmd_sweep(args) -> int:
     key = make_key(args.mu, args.x0)
     if args.kind in ("correlation", "differential"):
         result = analysis.correlation_sweep(key, delta=args.delta, pairs=args.pairs,
                                             length=args.length, vary=args.vary,
                                             burn_in=args.burn_in)
-        payload = {"kind": args.kind, **_sweep_payload(result)}
+        payload = {
+            "kind": args.kind,
+            "base_key": _key_meta(result.base_key),
+            "vary": result.vary,
+            "delta": result.delta,
+            "delta_hex": float(result.delta).hex(),
+            "pairs": result.pairs,
+            "length": result.length,
+            "burn_in": result.burn_in,
+            "skipped_offsets": list(result.skipped_offsets),
+            "aggregates": result.aggregates(),
+        }
         if args.pairs_csv:
             _write_csv(args.pairs_csv, ["pair", "correlation", "uaci_pct", "npcr_pct"],
                        ((i + 1, repr(float(result.correlations[i])),
@@ -337,13 +305,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_keyspace(args) -> int:
-    report = analysis.keyspace_report(args.precision_exponent)
-    _write_json(args.output, {
-        "precision_exponent": report.precision_exponent,
-        "component_counts": report.component_counts,
-        "total_bits": report.total_bits,
-        "weak_key_adjusted_bits": report.weak_key_adjusted_bits,
-    })
+    _write_json(args.output, asdict(analysis.keyspace_report(args.precision_exponent)))
     return 0
 
 
@@ -443,10 +405,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidKeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # InvalidKeyError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

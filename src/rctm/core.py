@@ -205,6 +205,7 @@ def _build() -> Path:
     library loaded into the process must not be one another user planted.
     The name carries the sha256 of the source and the compile command, and
     the library is renamed into place whole, so no process loads half a file.
+    A successful build removes the libraries of earlier sources or commands.
     """
     if os.name != "posix":
         raise OSError("the orbit kernel is built only on POSIX systems")
@@ -221,6 +222,9 @@ def _build() -> Path:
             out = os.path.join(tmp, lib.name)
             subprocess.run([*_CC, out], input=source, capture_output=True, check=True)
             os.replace(out, lib)
+        for stale in cache.glob("_orbit-*.so"):
+            if stale != lib:
+                stale.unlink(missing_ok=True)
     return lib
 
 

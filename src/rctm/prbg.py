@@ -8,12 +8,14 @@ MSB-first within each byte so exported streams are stable across tools.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .core import MapKey, Trajectory, orbit_chunks
+from .core import MapKey, Trajectory, _check_counts, orbit_chunks
 
 THRESHOLD = 0.5
+DEGENERATE_TAIL = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -22,6 +24,7 @@ class BitStream:
 
     bits: np.ndarray
     key_fingerprint: str
+    degenerate: bool = False  # the generating run's flag, see orbit_stream
 
     def __post_init__(self):
         self.bits.flags.writeable = False
@@ -34,19 +37,28 @@ class BitStream:
         return self.bits.size
 
 
-def bits_from_values(values: np.ndarray) -> np.ndarray:
-    """Threshold orbit samples at 0.5 into a uint8 0/1 array."""
-    return (np.asarray(values) >= THRESHOLD).astype(np.uint8)
+def orbit_stream(key: MapKey, n: int, burn_in: int,
+                 convert: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, bool]:
+    """n orbit samples, each mapped to a uint8 by ``convert``, streamed so long
+    runs stay memory-flat; plus the run's degenerate flag: its last
+    DEGENERATE_TAIL samples are identical (runs shorter than that never are).
+    """
+    _check_counts(n, burn_in)  # before allocating: a negative n must name itself
+    out = np.empty(n, dtype=np.uint8)
+    tail = np.empty(0)
+    pos = 0
+    for block in orbit_chunks(key, n, burn_in):
+        out[pos:pos + block.size] = convert(block)
+        pos += block.size
+        tail = np.concatenate([tail, block[-DEGENERATE_TAIL:]])[-DEGENERATE_TAIL:]
+    degenerate = tail.size == DEGENERATE_TAIL and bool(np.all(tail == tail[0]))
+    return out, degenerate
 
 
 def generate_bits(key: MapKey, n: int, burn_in: int = 0) -> BitStream:
     """Generate n bits from the orbit of ``key``; deterministic per key."""
-    out = np.empty(n, dtype=np.uint8)
-    pos = 0
-    for block in orbit_chunks(key, n, burn_in):
-        out[pos:pos + block.size] = block >= THRESHOLD
-        pos += block.size
-    return BitStream(bits=out, key_fingerprint=key.fingerprint())
+    bits, degenerate = orbit_stream(key, n, burn_in, lambda block: block >= THRESHOLD)
+    return BitStream(bits=bits, key_fingerprint=key.fingerprint(), degenerate=degenerate)
 
 
 def segmented_streams(key: MapKey, streams: int, bits_per_stream: int,
@@ -54,7 +66,8 @@ def segmented_streams(key: MapKey, streams: int, bits_per_stream: int,
     """Split one long orbit into disjoint consecutive bit segments.
 
     Segment i covers orbit positions [i*bits_per_stream, (i+1)*bits_per_stream)
-    after burn_in; fingerprints carry the segment index.
+    after burn_in; fingerprints carry the segment index, and every segment
+    carries the whole run's degenerate flag.
     """
     if streams < 1:
         raise ValueError(f"streams must be >= 1, got {streams}")
@@ -62,7 +75,7 @@ def segmented_streams(key: MapKey, streams: int, bits_per_stream: int,
     fp = key.fingerprint()
     return [
         BitStream(bits=whole.bits[i * bits_per_stream:(i + 1) * bits_per_stream],
-                  key_fingerprint=f"{fp}:{i}")
+                  key_fingerprint=f"{fp}:{i}", degenerate=whole.degenerate)
         for i in range(streams)
     ]
 
@@ -99,9 +112,4 @@ def quantize_bytes(traj: Trajectory | np.ndarray) -> np.ndarray:
 
 def generate_quantized(key: MapKey, n: int, burn_in: int = 0) -> np.ndarray:
     """n quantized orbit bytes, streamed so long runs stay memory-flat."""
-    out = np.empty(n, dtype=np.uint8)
-    pos = 0
-    for block in orbit_chunks(key, n, burn_in):
-        out[pos:pos + block.size] = quantize_values(block)
-        pos += block.size
-    return out
+    return orbit_stream(key, n, burn_in, quantize_values)[0]

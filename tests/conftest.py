@@ -5,9 +5,10 @@ import pytest
 from rctm import core
 
 # Stands in for the C compiler: writes a partial output file, then fails.
+# Like core._CC it ends with "-o"; the build appends the output path.
 FAILING_CC = (sys.executable, "-c",
               "import sys; open(sys.argv[sys.argv.index('-o') + 1], 'wb').write(b'partial');"
-              " sys.exit(1)")
+              " sys.exit(1)", "-o")
 
 
 @pytest.fixture(params=["c", "python"])

@@ -142,7 +142,7 @@ class TestDynamicsCommand:
         assert data["points"][0]["coverage"] == 1.0
 
     def test_coverage_rejects_integer_mu(self, tmp_path, capsys):
-        # unlike the grid commands, which skip such mu, a coverage key is checked
+        # bifurcation and lyapunov skip an unsupported mu; coverage rejects it
         out = tmp_path / "cov.csv"
         assert run(["analyze-dynamics", "--what", "coverage", "--mu", 4.0,
                     "--iterations", 1000, "-o", out]) == 1
@@ -196,6 +196,25 @@ class TestKernelField:
         monkeypatch.chdir(tmp_path)
         run([*argv, "--mu", 61.81, "--x0", 0.23])
         assert json.loads((tmp_path / report).read_text())["kernel"] == kernel
+
+
+class TestStreamHealthField:
+    @pytest.mark.parametrize("x0", [0.5, 0.23])
+    @pytest.mark.parametrize("argv,report,meta", [
+        (["generate", "--bits", 1000, "--meta", "-o", "s.bin"], "s.bin.meta.json", None),
+        (["export", "--bits", 500, "--segments", 2, "-o", "seg"], "seg_manifest.json", None),
+        (["test-nist", "--streams", 2, "--bits", 1000, "-o", "nist.json"], "nist.json",
+         "stream_meta"),
+        (["test-ent", "--bytes", 1000, "-o", "ent.json"], "ent.json", "stream_meta"),
+    ])
+    def test_reports_carry_the_degenerate_flag(self, tmp_path, monkeypatch, capsys,
+                                               x0, argv, report, meta):
+        # x0 = 0.5 collapses to the fixed point 0 after two steps
+        monkeypatch.chdir(tmp_path)
+        run([*argv, "--mu", 61.81, "--x0", x0])
+        data = json.loads((tmp_path / report).read_text())
+        assert (data[meta] if meta else data)["degenerate_tail"] is (x0 == 0.5)
+        assert ("degenerate" in capsys.readouterr().err) is (x0 == 0.5)
 
 
 class TestSweepCommand:

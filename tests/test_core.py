@@ -331,6 +331,21 @@ class TestKernel:
         assert list(cache.iterdir()) == [lib]
         assert ctypes.CDLL(str(lib)).rctm_orbit
 
+    @pytest.mark.skipif(shutil.which("gcc") is None, reason="needs a C compiler")
+    def test_successful_build_prunes_stale_libraries(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "_SOURCE", tmp_path / "_orbit.c")
+        shutil.copy(Path(core.__file__).with_name("_orbit.c"), core._SOURCE)
+        first = core._build()
+        monkeypatch.setattr(core, "_CC", tuple("-O1" if a == "-O2" else a for a in core._CC))
+        second = core._build()
+        assert second != first
+        assert list(second.parent.iterdir()) == [second]
+        # a failed build removes nothing
+        monkeypatch.setattr(core, "_CC", FAILING_CC)
+        with pytest.raises(subprocess.CalledProcessError):
+            core._build()
+        assert list(second.parent.iterdir()) == [second]
+
     def test_concurrent_first_builds_all_load_one_library(self, tmp_path):
         shutil.copy(Path(core.__file__).with_name("_orbit.c"), tmp_path / "_orbit.c")
         script = ("import sys, pathlib; from rctm import core; "

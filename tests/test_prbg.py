@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from rctm.core import iterate, make_key
+from rctm.core import _CHUNK, iterate, make_key
 from rctm.prbg import (
     generate_bits,
     generate_quantized,
+    orbit_stream,
     pack_bytes,
     quantize_bytes,
     quantize_values,
@@ -134,3 +135,31 @@ class TestQuantize:
         traj = iterate(key, 2000, burn_in=3)
         assert np.array_equal(generate_quantized(key, 2000, burn_in=3),
                               quantize_values(traj.values))
+
+
+class TestStreamHealth:
+    # x0 = 0.5 maps to 1.0 and then to the fixed point 0: 0.5, 1, 0, 0, ...
+    COLLAPSED = make_key(61.81, 0.5)
+
+    @pytest.mark.parametrize("n,flagged", [
+        (99, False),           # shorter than the 100-sample tail
+        (101, False),          # the tail still holds the 1.0
+        (102, True),           # the last 100 samples are all 0
+        (_CHUNK + 50, True),   # the tail spans a chunk boundary
+    ])
+    def test_collapsed_orbit_flag(self, n, flagged):
+        assert generate_bits(self.COLLAPSED, n).degenerate is flagged
+        assert orbit_stream(self.COLLAPSED, n, 0, quantize_values)[1] is flagged
+
+    def test_chaotic_orbit_is_not_flagged(self):
+        key = make_key(61.81, 0.23)
+        assert generate_bits(key, _CHUNK + 50).degenerate is False
+        data, degenerate = orbit_stream(key, 5000, 0, quantize_values)
+        assert degenerate is False
+        assert np.array_equal(data, generate_quantized(key, 5000))
+
+    @pytest.mark.parametrize("x0,flagged", [(0.5, True), (0.23, False)])
+    def test_every_segment_carries_the_run_flag(self, x0, flagged):
+        # segment 0 starts 0.5, 1.0 and has no tail of its own; it still carries the flag
+        streams = segmented_streams(make_key(61.81, x0), 4, 1000)
+        assert [s.degenerate for s in streams] == [flagged] * 4
