@@ -1,10 +1,12 @@
-"""Known-answer sha256 digests of orbits, bits and CLI outputs.
+"""Known-answer sha256 digests of orbits, bits, NIST results and CLI outputs.
 
 The digests were pinned from the pure-Python orbit loop.  Every way of
 computing an orbit must reproduce them bit for bit: they cover the tent
 arm and the robust arm, burn-in 0 and 1000, a batch of keys against the
-scalar path, the bit and byte generators, and what the CLI writes.  Each
-test runs on the compiled orbit kernel and on its Python fallback.
+scalar path, the bit and byte generators, and what the CLI writes.  The
+NIST digests hash every statistic and p-value as a hex float, so a
+rewrite of a test must keep its results exact.  Each test runs on the
+compiled orbit kernel and on its Python fallback.
 """
 
 import hashlib
@@ -12,7 +14,7 @@ import json
 
 import numpy as np
 
-from rctm import cli
+from rctm import cli, nist
 from rctm.core import ctm_key, iterate, iterate_batch, make_key
 from rctm.prbg import generate_bits, generate_quantized, segmented_streams
 
@@ -62,6 +64,26 @@ def library_digests() -> dict[str, str]:
     return out
 
 
+def _hex(*values) -> str:
+    return ",".join(float(v).hex() for v in values)
+
+
+def nist_digests() -> dict[str, str]:
+    """Digests of every stream_outcomes row and of the two pattern-count
+    tests at sizes m = 1..5."""
+    stream = generate_bits(make_key(61.81, 0.23), 10**6, burn_in=1000)
+    rows = "\n".join(f"{r.test},{_hex(r.statistic, r.p_value)}"
+                     for r in nist.stream_outcomes(stream))
+    out = {"nist/stream_outcomes": _sha(rows.encode())}
+    bits = generate_bits(make_key(97.3, 0.611), 20000)
+    for m in range(1, 6):
+        out[f"nist/approximate_entropy/m{m}"] = _sha(
+            _hex(*nist.approximate_entropy(bits, m=m)).encode())
+        (d1, p1), (d2, p2) = nist.serial(bits, m=m)
+        out[f"nist/serial/m{m}"] = _sha(_hex(d1, p1, d2, p2).encode())
+    return out
+
+
 DYNAMICS_ARGS = {
     "bifurcation": ["--mu-min", "1.5", "--mu-max", "6.0", "--grid-points", "4",
                     "--x0", "0.23", "--settle", "50", "--keep", "10"],
@@ -92,6 +114,11 @@ def cli_digests(tmp_path) -> dict[str, str]:
                      "-o", str(report)]) == 2
     values = json.loads(report.read_text())["report"]
     out["cli/test_ent_report"] = _sha(json.dumps(values, sort_keys=True).encode())
+    report = tmp_path / "nist.json"
+    assert cli.main(["test-nist", "--mu", "61.81", "--x0", "0.23", "--streams", "2",
+                     "--bits", "20000", "-o", str(report)]) == 0
+    entries = json.loads(report.read_text())["entries"]
+    out["cli/test_nist_report"] = _sha(json.dumps(entries, sort_keys=True).encode())
     for what, args in DYNAMICS_ARGS.items():
         for fmt in ("csv", "json"):
             path = tmp_path / f"{what}.{fmt}"
@@ -118,11 +145,23 @@ PINNED = {
     "generate_quantized": "5787c892a5f888d7738307673721fd228b5c747a4123806b52af5fb76eb1e6f2",
     "segmented_streams": "0b4a8984fbb3bf3a2563b9a53f4c464c06c8c606450fab1995747d40d1be80fa",
     "segmented_streams/fingerprints": "fec7d1879021d42a1492c68c880493b37b1e20c6b4ecd6328c3772825d89f2df",
+    "nist/stream_outcomes": "da697e6a1c0b7266bc4b472f79b0c7781110c96cb1075c2f36d25ecf73823416",
+    "nist/approximate_entropy/m1": "b5d5c87753688c567aa88432a791a7115d98479eebd67d05dc127fe122e1ec9f",
+    "nist/approximate_entropy/m2": "fed4bd6fe9eede3e22f4b27d34a65a707240b7dc2873b92ad5e2fa8816014c1d",
+    "nist/approximate_entropy/m3": "ca281b9439972ad89acb31e535d5f875cc3a4b415482f50aacae189a0fd7e581",
+    "nist/approximate_entropy/m4": "614b0eea0f6ea403b16306e76699afe55aa88a3dd29c790b4c978764eb8d8f77",
+    "nist/approximate_entropy/m5": "308fce18fbd84826ecc28bd8a2a99b712b521ffdb505bb9f1f9fe31c8c0f649a",
+    "nist/serial/m1": "d827f1ab0a316154b64aefa68ffeaa8ddb4b3aa9c966c6693c24b50b3dbeb7b4",
+    "nist/serial/m2": "27decd3dc0218cdb9df0e688493e61e70c39fb563d692e0a7592291ecb1c67b7",
+    "nist/serial/m3": "47ca46f74cfe8aac6cc9d9a4a6480b74e55425ba6fc8977842f078433688acd3",
+    "nist/serial/m4": "bfb7c81fc12f7ef0d36cdd6b84658efdb3fd00f4ff0fa3f4107a5b53364e921d",
+    "nist/serial/m5": "7a0d53872551dfe6598cd7c964f7d5ee10e0edeaa76be04d248aa6d204b59a12",
     "cli/generate_raw": "b6ba1e4fddd6edf9438664bda28b2853aa85651f08395292fc9beb5ac04c2b58",
     "cli/export_ascii/0": "3ac8ac0c63380bb225a362b3c7de4bd34fa0721dfccaee7d7b5b4f558cf1fb1d",
     "cli/export_ascii/1": "2441f86f56d2e3c21ee35bcd1f695f909b6cc318eaf871302f72bd88b41329db",
     "cli/export_ascii/2": "28a019a630cf4492820105a9deb907ef325507f39251db2d1eedaffd1c856e73",
     "cli/test_ent_report": "6122277ecfe75c900d07f3b46b6c2632b010a4d3b5c62fd36e6bcd4ddfb7f173",
+    "cli/test_nist_report": "ed658b83cbc2ceec48a7f02531c7c91bac7ab75e1e5544dcba4ab28e4c0ad53b",
     "cli/dynamics_bifurcation_csv": "4aa08551784ce3e0dd560838969055f1e017ed3bca0f6e4fe4630ec4b3070fe8",
     "cli/dynamics_bifurcation_json": "32ff3f996d1e805ef8c7acef049949bc003d118ed13ee3c86b7c1be48d4da34e",
     "cli/dynamics_lyapunov_csv": "f17fa38cfcb860fa9ded7cfea4a2800dc15303e625be24b215ecc9684773afac",
@@ -133,9 +172,18 @@ PINNED = {
 }
 
 
+def _pinned(prefix: str) -> dict[str, str]:
+    return {k: v for k, v in PINNED.items() if k.split("/")[0] == prefix}
+
+
 def test_library_digests_are_pinned(kernel):
-    assert library_digests() == {k: v for k, v in PINNED.items() if not k.startswith("cli/")}
+    assert library_digests() == {k: v for k, v in PINNED.items()
+                                 if k.split("/")[0] not in ("cli", "nist")}
+
+
+def test_nist_digests_are_pinned(kernel):
+    assert nist_digests() == _pinned("nist")
 
 
 def test_cli_digests_are_pinned(kernel, tmp_path):
-    assert cli_digests(tmp_path) == {k: v for k, v in PINNED.items() if k.startswith("cli/")}
+    assert cli_digests(tmp_path) == _pinned("cli")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc, gammaincc
 
+from rctm import nist
 from rctm.core import make_key
 from rctm.nist import (
     ENTRY_NAMES,
@@ -276,6 +277,23 @@ class TestDispatch:
                      "serial", "dft"):
             stat, p = nist_test(name, bits)
             assert 0.0 <= p <= 1.0
+
+
+    def test_tests_are_looked_up_on_the_module_when_called(self, monkeypatch):
+        # a wrapper installed on the module attribute (as the benchmark's
+        # tracer does) must see the calls made through the dispatch
+        calls = []
+
+        def counting(bits, **params):
+            calls.append(len(bits))
+            return monobit(bits, **params)
+
+        monkeypatch.setattr(nist, "monobit", counting)
+        bits = np.random.default_rng(15).integers(0, 2, size=2000, dtype=np.uint8)
+        assert nist_test("monobit", bits) == monobit(bits)
+        assert calls == [2000]
+        stream_outcomes(bits)
+        assert calls == [2000, 2000]
 
 
 class TestBattery:
