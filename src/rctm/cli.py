@@ -248,10 +248,13 @@ def cmd_test_ent(args) -> int:
 
 def cmd_sweep(args) -> int:
     key = make_key(args.mu, args.x0)
-    if args.kind in ("correlation", "differential"):
+    perturbation = args.kind in ("correlation", "differential")
+    # the paper's sensitivity preview starts at x0, so only perturbation sweeps burn in by default
+    burn_in = args.burn_in if args.burn_in is not None else (100 if perturbation else 0)
+    if perturbation:
         result = analysis.correlation_sweep(key, delta=args.delta, pairs=args.pairs,
                                             length=args.length, vary=args.vary,
-                                            burn_in=args.burn_in)
+                                            burn_in=burn_in)
         payload = {
             "kind": args.kind,
             "base_key": _key_meta(result.base_key),
@@ -272,7 +275,7 @@ def cmd_sweep(args) -> int:
     elif args.kind == "sensitivity":
         result = analysis.key_sensitivity_run(args.case, key, delta=args.delta,
                                               sequences=args.sequences,
-                                              length=args.length)
+                                              length=args.length, burn_in=burn_in)
         payload = {
             "kind": "sensitivity",
             "case": result.case,
@@ -281,6 +284,7 @@ def cmd_sweep(args) -> int:
             "delta_hex": float(result.delta).hex(),
             "sequences": args.sequences,
             "length": args.length,
+            "burn_in": burn_in,
             "offsets": list(result.offsets),
             "skipped_offsets": list(result.skipped_offsets),
             "pairwise_correlations": result.pairwise_correlations,
@@ -290,12 +294,14 @@ def cmd_sweep(args) -> int:
     else:
         result = analysis.entropy_sweep(key, sequences=args.sequences,
                                         length=args.length,
-                                        seed_increment=args.seed_increment)
+                                        seed_increment=args.seed_increment,
+                                        burn_in=burn_in)
         payload = {
             "kind": "entropy",
             "base_key": _key_meta(key),
             "sequences": result.sequences,
             "length": result.length,
+            "burn_in": burn_in,
             "seed_increment": result.seed_increment,
             "mean_entropy": result.mean_entropy,
             "entropies": result.entropies,
@@ -361,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--streams", type=int, default=20)
     p.add_argument("--bits", type=int, default=1_000_000, help="bits per stream")
     p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_test_nist)
 
@@ -369,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_key_args(p)
     p.add_argument("--bytes", type=int, default=1_000_000)
     p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_test_ent)
 
@@ -384,16 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=1000)
     p.add_argument("--sequences", type=int, default=5)
     p.add_argument("--length", type=int, default=1000)
-    p.add_argument("--burn-in", type=int, default=100)
+    p.add_argument("--burn-in", type=int,
+                   help="samples skipped before each orbit (default: 100 for "
+                        "correlation/differential, 0 for sensitivity/entropy)")
     p.add_argument("--seed-increment", type=_parse_float, default=2.0 ** -20)
     p.add_argument("--pairs-csv", help="also write per-pair metrics as CSV")
-    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("keyspace", help="key-space accounting report")
     p.add_argument("--precision-exponent", type=int, default=-16)
-    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_keyspace)
 

@@ -23,22 +23,8 @@ from .prbg import BitStream
 
 ALPHA = 0.01
 
-TEST_NAMES = (
-    "monobit",
-    "block_frequency",
-    "runs",
-    "longest_run",
-    "cusum_forward",
-    "cusum_reverse",
-    "approximate_entropy",
-    "serial",
-    "dft",
-)
-
-# entries emitted per stream: serial contributes its second p-value too
-ENTRY_NAMES = TEST_NAMES[:8] + ("serial_2", "dft")
-
-# structural floors; 10^6-bit streams are the recommended battery size
+# every test, in report order, with its structural floor; 10^6-bit streams
+# are the recommended battery size
 _MIN_BITS = {
     "monobit": 1,
     "block_frequency": 8,
@@ -50,6 +36,11 @@ _MIN_BITS = {
     "serial": 8,
     "dft": 8,
 }
+
+TEST_NAMES = tuple(_MIN_BITS)
+
+# entries emitted per stream: serial contributes its second p-value too
+ENTRY_NAMES = TEST_NAMES[:8] + ("serial_2", "dft")
 
 
 @dataclass(frozen=True)
@@ -96,24 +87,24 @@ def _as_bits(bits: BitStream | np.ndarray) -> np.ndarray:
     return arr
 
 
-def _require(name: str, n: int) -> None:
-    need = _MIN_BITS[name]
-    if n < need:
-        raise ValueError(f"{name} needs at least {need} bits, got {n}")
+def _require(name: str, bits) -> np.ndarray:
+    """The bits as a 1-D array, checked against the floor of test ``name``."""
+    b = _as_bits(bits)
+    if b.size < _MIN_BITS[name]:
+        raise ValueError(f"{name} needs at least {_MIN_BITS[name]} bits, got {b.size}")
+    return b
 
 
 def monobit(bits) -> tuple[float, float]:
     """Frequency test: |sum of +/-1 bits| / sqrt(n) against erfc."""
-    b = _as_bits(bits)
-    _require("monobit", b.size)
+    b = _require("monobit", bits)
     s_obs = abs(2 * int(b.sum()) - b.size) / math.sqrt(b.size)
     return s_obs, float(erfc(s_obs / math.sqrt(2.0)))
 
 
 def block_frequency(bits, block_size: int = 128) -> tuple[float, float]:
     """Ones-proportion chi-square over disjoint blocks of block_size bits."""
-    b = _as_bits(bits)
-    _require("block_frequency", b.size)
+    b = _require("block_frequency", bits)
     if block_size < 1 or block_size > b.size:
         raise ValueError(f"block_size must lie in [1, {b.size}], got {block_size}")
     nblocks = b.size // block_size
@@ -128,8 +119,7 @@ def runs(bits) -> tuple[float, float]:
     Returns p = 0 without the runs count when the ones proportion already
     fails the monobit precondition |pi - 1/2| < 2/sqrt(n).
     """
-    b = _as_bits(bits)
-    _require("runs", b.size)
+    b = _require("runs", bits)
     n = b.size
     pi = float(b.mean())
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
@@ -153,8 +143,7 @@ def longest_run(bits) -> tuple[float, float]:
     The block size follows the SP 800-22 tiers: 8 for short streams, 128
     from 6272 bits, and 10^4 from 750000 bits.
     """
-    b = _as_bits(bits)
-    _require("longest_run", b.size)
+    b = _require("longest_run", bits)
     n = b.size
     block = 8 if n < 6272 else (128 if n < 750000 else 10000)
     dof, (lo, hi), probs = _LONGEST_RUN_TABLES[block]
@@ -173,8 +162,7 @@ def longest_run(bits) -> tuple[float, float]:
 
 
 def _cusum(bits, reverse: bool) -> tuple[float, float]:
-    b = _as_bits(bits)
-    _require("cusum_reverse" if reverse else "cusum_forward", b.size)
+    b = _require("cusum_reverse" if reverse else "cusum_forward", bits)
     x = 2 * b.astype(np.int64) - 1
     if reverse:
         x = x[::-1]
@@ -199,36 +187,40 @@ def cusum_reverse(bits) -> tuple[float, float]:
     return _cusum(bits, reverse=True)
 
 
-def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
-    """Counts of the n overlapping m-bit patterns, wrapping around the end."""
+def _pattern_counts(b: np.ndarray, m: int) -> list[np.ndarray]:
+    """Counts of the n overlapping wrapped k-bit patterns, item k for k = 0..m.
+
+    Size m is counted; with wraparound each smaller size is the exact
+    marginal of the next (pattern p counts patterns 2p and 2p+1)."""
     n = b.size
     ext = np.concatenate([b, b[:m - 1]]) if m > 1 else b
     idx = np.zeros(n, dtype=np.int64)
     for j in range(m):
         idx = (idx << 1) | ext[j:j + n]
-    return np.bincount(idx, minlength=2 ** m)
+    counts = [np.bincount(idx, minlength=2 ** m)]
+    for _ in range(m):
+        counts.append(counts[-1].reshape(-1, 2).sum(axis=1))
+    return counts[::-1]
 
 
 def approximate_entropy(bits, m: int = 2) -> tuple[float, float]:
     """ApEn(m) = phi(m) - phi(m+1) over overlapping wrapped patterns."""
-    b = _as_bits(bits)
-    _require("approximate_entropy", b.size)
+    b = _require("approximate_entropy", bits)
     n = b.size
     phi = []
-    for mm in (m, m + 1):
-        c = _pattern_counts(b, mm) / n
-        c = c[c > 0]
+    for counts in _pattern_counts(b, m + 1)[m:]:
+        c = counts[counts > 0] / n
         phi.append(float(np.sum(c * np.log(c))))
     apen = phi[0] - phi[1]
     chi2 = 2.0 * n * (math.log(2.0) - apen)
     return apen, float(gammaincc(2 ** (m - 1), chi2 / 2.0))
 
 
-def _psi_squared(b: np.ndarray, m: int) -> float:
-    if m <= 0:
-        return 0.0
-    c = _pattern_counts(b, m).astype(np.float64)
-    return float((2 ** m / b.size) * np.sum(c * c) - b.size)
+def _psi_squared(counts: np.ndarray) -> float:
+    """psi^2 from the 2^m pattern counts of one size m >= 1."""
+    n = int(counts.sum())
+    c = counts.astype(np.float64)
+    return float((counts.size / n) * np.sum(c * c) - n)
 
 
 def serial(bits, m: int = 2) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -237,11 +229,10 @@ def serial(bits, m: int = 2) -> tuple[tuple[float, float], tuple[float, float]]:
     Returns ((delta_psi2, p1), (delta2_psi2, p2)); a stream passes when
     both p-values clear alpha.
     """
-    b = _as_bits(bits)
-    _require("serial", b.size)
-    psi_m = _psi_squared(b, m)
-    psi_m1 = _psi_squared(b, m - 1)
-    psi_m2 = _psi_squared(b, m - 2)
+    counts = _pattern_counts(_require("serial", bits), m)
+    # psi^2 is 0 by definition below size 1 (not (1/n) n^2 - n, which may round away from 0)
+    psi_m, psi_m1, psi_m2 = (_psi_squared(counts[k]) if k >= 1 else 0.0
+                             for k in (m, m - 1, m - 2))
     d1 = psi_m - psi_m1
     d2 = psi_m - 2.0 * psi_m1 + psi_m2
     p1 = float(gammaincc(2 ** (m - 2), d1 / 2.0))
@@ -255,8 +246,7 @@ def dft(bits) -> tuple[float, float]:
     Uses the moduli of the first n/2 transform terms and the corrected
     variance n * 0.95 * 0.05 / 4.
     """
-    b = _as_bits(bits)
-    _require("dft", b.size)
+    b = _require("dft", bits)
     n = b.size
     x = 2.0 * b.astype(np.float64) - 1.0
     mods = np.abs(np.fft.rfft(x))[:n // 2]
@@ -271,34 +261,18 @@ def nist_test(name: str, bits, **params) -> tuple[float, float]:
     """Run one subset test by name; ``serial`` reports its first p-value."""
     if name not in TEST_NAMES:
         raise ValueError(f"unknown test {name!r}; expected one of {', '.join(TEST_NAMES)}")
-    if name == "serial":
-        return serial(bits, **params)[0]
-    func = {
-        "monobit": monobit,
-        "block_frequency": block_frequency,
-        "runs": runs,
-        "longest_run": longest_run,
-        "cusum_forward": cusum_forward,
-        "cusum_reverse": cusum_reverse,
-        "approximate_entropy": approximate_entropy,
-        "dft": dft,
-    }[name]
-    return func(bits, **params)
+    # looked up when called, not kept in a table, so wrappers set on the module see every call
+    result = globals()[name](bits, **params)
+    return result[0] if name == "serial" else result
 
 
 def stream_outcomes(bits, alpha: float = ALPHA) -> list[TestOutcome]:
     """All subset tests on one stream, serial's second p-value as its own row."""
     b = _as_bits(bits)
-    rows = []
-    for name in TEST_NAMES[:7]:
-        stat, p = nist_test(name, b)
-        rows.append(TestOutcome(name, stat, p, p >= alpha))
-    (d1, p1), (d2, p2) = serial(b)
-    rows.append(TestOutcome("serial", d1, p1, p1 >= alpha))
-    rows.append(TestOutcome("serial_2", d2, p2, p2 >= alpha))
-    stat, p = dft(b)
-    rows.append(TestOutcome("dft", stat, p, p >= alpha))
-    return rows
+    results = [globals()[name](b) for name in TEST_NAMES]  # looked up when called, as in nist_test
+    results[7:8] = results[7]  # serial's two results are the serial and serial_2 rows
+    return [TestOutcome(entry, stat, p, p >= alpha)
+            for entry, (stat, p) in zip(ENTRY_NAMES, results)]
 
 
 def stream_report(bits, alpha: float = ALPHA, meta: dict | None = None) -> TestReport:
@@ -338,8 +312,9 @@ def nist_battery(streams: Sequence[BitStream | np.ndarray],
         proportion reaches the minimum-proportion bound for the stream
         count.
     """
-    if not streams:
-        raise ValueError("battery needs at least one stream")
+    lengths = sorted({int(_as_bits(s).size) for s in streams})
+    if len(lengths) != 1:
+        raise ValueError(f"battery needs one or more streams of one length, got lengths {lengths}")
     per_test: dict[str, list[bool]] = {name: [] for name in ENTRY_NAMES}
     for s in streams:
         for row in stream_outcomes(s, alpha):
@@ -352,7 +327,7 @@ def nist_battery(streams: Sequence[BitStream | np.ndarray],
                        passed=sum(flags) / m >= bound)
         for name, flags in per_test.items()
     )
-    meta = {"streams": m, "bits_per_stream": int(_as_bits(streams[0]).size)}
+    meta = {"streams": m, "bits_per_stream": lengths[0]}
     fps = {s.key_fingerprint.split(":")[0] for s in streams if isinstance(s, BitStream)}
     if len(fps) == 1:
         meta["key_fingerprint"] = fps.pop()

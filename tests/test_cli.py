@@ -226,6 +226,7 @@ class TestSweepCommand:
                     "--length", 500, "-o", out, "--pairs-csv", pairs_csv]) == 0
         data = json.loads(out.read_text())
         assert data["pairs"] == 20
+        assert data["burn_in"] == 100  # the default for perturbation sweeps
         assert abs(data["aggregates"]["correlation"]["mean_abs"]) <= 0.2
         lines = pairs_csv.read_text().splitlines()
         assert lines[0] == "pair,correlation,uaci_pct,npcr_pct"
@@ -248,6 +249,24 @@ class TestSweepCommand:
         data = json.loads(out.read_text())
         assert data["mean_entropy"] >= 7.9
         assert len(data["entropies"]) == 10
+
+    @pytest.mark.parametrize("kind,args", [
+        ("sensitivity", ["--case", "vary_x0", "--sequences", 3, "--length", 200]),
+        ("entropy", ["--sequences", 3, "--length", 2000]),
+    ])
+    def test_burn_in_reaches_sensitivity_and_entropy(self, tmp_path, kind, args):
+        reports = {}
+        for burn_in in (None, 0, 5000):
+            out = tmp_path / f"{kind}_{burn_in}.json"
+            flag = [] if burn_in is None else ["--burn-in", burn_in]
+            assert run(["sweep", "--kind", kind, "--mu", 61.81, "--x0", 0.23,
+                        *args, *flag, "-o", out]) == 0
+            reports[burn_in] = out.read_bytes()
+        # without the flag these sweeps start at x0, as the paper's preview does
+        assert reports[None] == reports[0]
+        assert reports[5000] != reports[0]
+        assert json.loads(reports[0])["burn_in"] == 0
+        assert json.loads(reports[5000])["burn_in"] == 5000
 
 
 class TestKeyspaceCommand:

@@ -352,6 +352,11 @@ class TestBattery:
         with pytest.raises(ValueError):
             nist_battery([])
 
+    def test_streams_of_unequal_length_rejected(self):
+        streams = [np.ones(1000, dtype=np.uint8), np.ones(5000, dtype=np.uint8)]
+        with pytest.raises(ValueError, match=r"\[1000, 5000\]"):
+            nist_battery(streams)
+
 
 class TestPValueUniformity:
     def test_monobit_p_values_uniform_over_segments(self):
