@@ -3,9 +3,10 @@
 The digests were pinned from the pure-Python orbit loop.  Every way of
 computing an orbit must reproduce them bit for bit: they cover the tent
 arm and the robust arm, burn-in 0 and 1000, a batch of keys against the
-scalar path, the bit and byte generators, and what the CLI writes.  The
-NIST digests hash every statistic and p-value as a hex float, so a
-rewrite of a test must keep its results exact.  Each test runs on the
+scalar path, the bit and byte generators, the byte histogram, and what
+the CLI writes, every sweep kind included.  The NIST digests hash every
+statistic and p-value as a hex float, so a rewrite of a test must keep
+its results exact.  Each test runs on the
 compiled orbit kernel and on its Python fallback.
 """
 
@@ -15,6 +16,7 @@ import json
 import numpy as np
 
 from rctm import cli, nist
+from rctm.analysis import histogram_uniformity
 from rctm.core import ctm_key, iterate, iterate_batch, make_key
 from rctm.prbg import generate_bits, generate_quantized, segmented_streams
 
@@ -48,7 +50,8 @@ def batch_keys():
 
 
 def library_digests() -> dict[str, str]:
-    """Digests of every library path that produces orbit samples or bits."""
+    """Digests of every library path that produces orbit samples or bits,
+    and of the byte histogram of one generated stream."""
     out = {}
     for name, make in ORBIT_KEYS.items():
         for burn_in in (0, 1000):
@@ -61,6 +64,8 @@ def library_digests() -> dict[str, str]:
     streams = segmented_streams(key, 4, BITS // 4, burn_in=1000)
     out["segmented_streams"] = _sha(np.concatenate([s.bits for s in streams]))
     out["segmented_streams/fingerprints"] = _sha(",".join(s.key_fingerprint for s in streams).encode())
+    counts, chi2, p = histogram_uniformity(generate_quantized(key, BITS, burn_in=1000))
+    out["histogram_uniformity"] = _sha(f"{','.join(map(str, counts.tolist()))};{_hex(chi2, p)}".encode())
     return out
 
 
@@ -94,9 +99,22 @@ DYNAMICS_ARGS = {
 }
 
 
+# sweep kind -> name -> extra arguments; each kind runs at its default
+# burn-in and at an explicit --burn-in
+SWEEP_ARGS = {
+    "correlation": {"default": ["--pairs", "50", "--length", "500"]},
+    "differential": {"burn0": ["--pairs", "50", "--length", "500", "--burn-in", "0"]},
+    "sensitivity": {"vary_mu": ["--case", "vary_mu", "--length", "500"],
+                    "vary_x0_burn5000": ["--case", "vary_x0", "--length", "500",
+                                         "--burn-in", "5000"]},
+    "entropy": {"default": ["--sequences", "10", "--length", "10000"],
+                "burn300": ["--sequences", "10", "--length", "10000", "--burn-in", "300"]},
+}
+
+
 def cli_digests(tmp_path) -> dict[str, str]:
-    """Digests of the files written by generate, export, analyze-dynamics and
-    keyspace and of the test-ent values."""
+    """Digests of the files written by generate, export, analyze-dynamics,
+    sweep and keyspace and of the test-ent values."""
     out = {}
     raw = tmp_path / "s.bin"
     assert cli.main(["generate", "--mu", "97.3", "--x0", "0.611", "--bits", str(BITS),
@@ -125,6 +143,15 @@ def cli_digests(tmp_path) -> dict[str, str]:
             assert cli.main(["analyze-dynamics", "--what", what, *args,
                              "--format", fmt, "-o", str(path)]) == 0
             out[f"cli/dynamics_{what}_{fmt}"] = _sha(path.read_bytes())
+    pairs_csv = tmp_path / "pairs.csv"
+    for kind, cases in SWEEP_ARGS.items():
+        for name, args in cases.items():
+            path = tmp_path / f"sweep_{kind}_{name}.json"
+            extra = ["--pairs-csv", str(pairs_csv)] if kind == "correlation" else []
+            assert cli.main(["sweep", "--kind", kind, "--mu", "61.81", "--x0", "0.23",
+                             *args, *extra, "-o", str(path)]) == 0
+            out[f"cli/sweep_{kind}_{name}"] = _sha(path.read_bytes())
+    out["cli/sweep_correlation_pairs_csv"] = _sha(pairs_csv.read_bytes())
     keyspace = tmp_path / "keyspace.json"
     assert cli.main(["keyspace", "--precision-exponent", "-12", "-o", str(keyspace)]) == 0
     out["cli/keyspace"] = _sha(keyspace.read_bytes())
@@ -145,6 +172,7 @@ PINNED = {
     "generate_quantized": "5787c892a5f888d7738307673721fd228b5c747a4123806b52af5fb76eb1e6f2",
     "segmented_streams": "0b4a8984fbb3bf3a2563b9a53f4c464c06c8c606450fab1995747d40d1be80fa",
     "segmented_streams/fingerprints": "fec7d1879021d42a1492c68c880493b37b1e20c6b4ecd6328c3772825d89f2df",
+    "histogram_uniformity": "143819115cac6a5566c23b3436b1520c19d757842399233793aee9125928fb74",
     "nist/stream_outcomes": "da697e6a1c0b7266bc4b472f79b0c7781110c96cb1075c2f36d25ecf73823416",
     "nist/approximate_entropy/m1": "b5d5c87753688c567aa88432a791a7115d98479eebd67d05dc127fe122e1ec9f",
     "nist/approximate_entropy/m2": "fed4bd6fe9eede3e22f4b27d34a65a707240b7dc2873b92ad5e2fa8816014c1d",
@@ -168,6 +196,13 @@ PINNED = {
     "cli/dynamics_lyapunov_json": "00ff1b40ef408271ad24ddef7533f00e35af1a36226034344e59503532571ea9",
     "cli/dynamics_coverage_csv": "eeaf130aa9d8b9dc9f740269fcad27d690369d7d78fccdeffa768f2415b66a49",
     "cli/dynamics_coverage_json": "f063a6fd13729ba845ad37502571cbc61b4fe97358e060a8c3c556168728d8db",
+    "cli/sweep_correlation_default": "280d41fd54f4f52a8567052e0ec0de0fe2f241815963cce6b24ec478a475c5d0",
+    "cli/sweep_differential_burn0": "4d13c6c8bc43d8d70d3a056654de2db59c36e1a1c3aef1bdef497d5cb2577d0b",
+    "cli/sweep_sensitivity_vary_mu": "17a4902783b0650f99b39307684cbf9422a70751cf81dd3d620f0df7642d97b9",
+    "cli/sweep_sensitivity_vary_x0_burn5000": "d3622319e2a9707066bd01ee1e609fc00870e4edef7706177098e53123a416ea",
+    "cli/sweep_entropy_default": "058c3510063af733bf088c822cb74ef66b9bb5ce6c2c66d5daa35a20bb867168",
+    "cli/sweep_entropy_burn300": "6916a773c47a42dae345004b5a17c423c460f1f60f71934c6aee546edb43dd03",
+    "cli/sweep_correlation_pairs_csv": "f2ccf197ccf865e9daa09eb4c2cbcd171ce0833ea3683ca469c1b32b6e929ebc",
     "cli/keyspace": "07091089e55a47eada195279476755c59f35b170b69544deb19a9b610fb3d304",
 }
 
