@@ -1,5 +1,5 @@
 """Security analyses: correlation, key sensitivity, differential metrics,
-histogram uniformity, entropy sweeps and key-space accounting.
+entropy sweeps and key-space accounting (histogram uniformity is in ``ent``).
 
 Perturbation sweeps build keys at base + k*delta on the varied parameter.
 Offsets whose perturbed value rounds back to the base parameter in binary64
@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .core import MU_MAX, MU_MIN, MapKey, Trajectory, iterate, iterate_batch, make_key
-from .ent import byte_entropy
+from .ent import byte_entropy, histogram_uniformity  # noqa: F401  (re-exported)
 from .prbg import quantize_values
 
 DEFAULT_DELTA = 2.0 ** -48
@@ -73,6 +72,7 @@ class KeySensitivityResult:
     case: str
     base_key: MapKey
     delta: float
+    burn_in: int
     trajectories: tuple[Trajectory, ...]
     pairwise_correlations: np.ndarray
     preview: np.ndarray  # first samples of each trajectory, for plotting
@@ -94,6 +94,7 @@ class EntropySweepResult:
     seed_increment: float
     sequences: int
     length: int
+    burn_in: int
 
 
 def pearson_correlation(x, y) -> float:
@@ -134,6 +135,11 @@ def differential(t1: Trajectory | np.ndarray, t2: Trajectory | np.ndarray) -> tu
     return uaci, npcr
 
 
+def _key_at(base: MapKey, vary: str, value: float) -> MapKey:
+    """``base`` with its ``vary`` parameter ("mu" or "x0") set to ``value``."""
+    return make_key(value, base.x0) if vary == "mu" else make_key(base.mu, value)
+
+
 def _perturbed_keys(base: MapKey, vary: str, delta: float,
                     count: int) -> tuple[list[MapKey], list[int]]:
     """Keys at base + k*delta for k = 1, 2, ...; no-op roundings skipped."""
@@ -141,7 +147,7 @@ def _perturbed_keys(base: MapKey, vary: str, delta: float,
         raise ValueError(f"vary must be 'mu' or 'x0', got {vary!r}")
     if not math.isfinite(delta) or delta == 0.0:
         raise ValueError("delta must be finite and non-zero")
-    base_value = base.mu if vary == "mu" else base.x0
+    base_value = getattr(base, vary)
     keys: list[MapKey] = []
     skipped: list[int] = []
     k = 0
@@ -154,10 +160,7 @@ def _perturbed_keys(base: MapKey, vary: str, delta: float,
         if value == base_value:
             skipped.append(k)
             continue
-        if vary == "mu":
-            keys.append(make_key(value, base.x0))
-        else:
-            keys.append(make_key(base.mu, value))
+        keys.append(_key_at(base, vary, value))
     return keys, skipped
 
 
@@ -194,9 +197,9 @@ def key_sensitivity_run(case: str, base: MapKey, delta: float = DEFAULT_DELTA,
     """Trajectories at base + k*delta (k = 0..sequences-1) on one parameter.
 
     ``case`` selects the perturbed parameter: ``vary_mu`` or ``vary_x0``.
-    Returns the trajectories, the full pairwise correlation matrix and the
-    first 30 samples of each trajectory for plotting.  delta = 0 is allowed
-    and yields identical trajectories with unit correlations.
+    Returns the trajectories, their pairwise correlation matrix and the first
+    30 samples of each, from x0 by default as in the paper's preview.  delta
+    = 0 is allowed and yields identical trajectories with unit correlations.
 
     A non-zero delta must produce `sequences` bitwise-distinct keys;
     offsets whose perturbed value rounds onto an already-used key are
@@ -209,12 +212,8 @@ def key_sensitivity_run(case: str, base: MapKey, delta: float = DEFAULT_DELTA,
     if not math.isfinite(delta):
         raise ValueError("delta must be finite")
     vary = "mu" if case == "vary_mu" else "x0"
-    base_value = base.mu if vary == "mu" else base.x0
-
-    def build(value: float) -> MapKey:
-        return make_key(value, base.x0) if vary == "mu" else make_key(base.mu, value)
-
-    keys = [build(base_value)]
+    base_value = getattr(base, vary)
+    keys = [_key_at(base, vary, base_value)]
     offsets = [0]
     skipped: list[int] = []
     if delta == 0.0:
@@ -234,7 +233,7 @@ def key_sensitivity_run(case: str, base: MapKey, delta: float = DEFAULT_DELTA,
                 skipped.append(k)
                 continue
             seen.add(value)
-            keys.append(build(value))
+            keys.append(_key_at(base, vary, value))
             offsets.append(k)
     states = iterate_batch(keys, length, burn_in)
     trajectories = tuple(Trajectory(values=states[i].copy(), key=keys[i], burn_in=burn_in)
@@ -245,30 +244,10 @@ def key_sensitivity_run(case: str, base: MapKey, delta: float = DEFAULT_DELTA,
             r[i, j] = r[j, i] = pearson_correlation(states[i], states[j])
     preview = states[:, :SENSITIVITY_PREVIEW].copy()
     return KeySensitivityResult(case=case, base_key=base, delta=delta,
-                                trajectories=trajectories,
+                                burn_in=burn_in, trajectories=trajectories,
                                 pairwise_correlations=r, preview=preview,
                                 offsets=tuple(offsets),
                                 skipped_offsets=tuple(skipped))
-
-
-def histogram_uniformity(data, bins: int = 256) -> tuple[np.ndarray, float, float]:
-    """Bin counts plus chi-square goodness of fit against uniform.
-
-    Returns (counts, chi_square, p_value) with bins - 1 degrees of freedom.
-    """
-    arr = np.asarray(data)
-    if arr.size == 0:
-        raise ValueError("input must be non-empty")
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
-    if arr.dtype == np.uint8 and bins == 256:
-        counts = np.bincount(arr, minlength=256)
-    else:
-        counts, _ = np.histogram(arr, bins=bins)
-    expected = arr.size / bins
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    p = float(gammaincc((bins - 1) / 2.0, chi2 / 2.0))
-    return counts, chi2, p
 
 
 def entropy_sweep(base: MapKey, sequences: int = 100, length: int = 100_000,
@@ -284,7 +263,8 @@ def entropy_sweep(base: MapKey, sequences: int = 100, length: int = 100_000,
     return EntropySweepResult(mean_entropy=float(entropies.mean()),
                               entropies=entropies,
                               seed_increment=seed_increment,
-                              sequences=sequences, length=length)
+                              sequences=sequences, length=length,
+                              burn_in=burn_in)
 
 
 def keyspace_report(precision_exponent: int = -16) -> KeySpaceReport:

@@ -248,13 +248,10 @@ def cmd_test_ent(args) -> int:
 
 def cmd_sweep(args) -> int:
     key = make_key(args.mu, args.x0)
-    perturbation = args.kind in ("correlation", "differential")
-    # the paper's sensitivity preview starts at x0, so only perturbation sweeps burn in by default
-    burn_in = args.burn_in if args.burn_in is not None else (100 if perturbation else 0)
-    if perturbation:
+    burn_in = {} if args.burn_in is None else {"burn_in": args.burn_in}
+    if args.kind in ("correlation", "differential"):
         result = analysis.correlation_sweep(key, delta=args.delta, pairs=args.pairs,
-                                            length=args.length, vary=args.vary,
-                                            burn_in=burn_in)
+                                            length=args.length, vary=args.vary, **burn_in)
         payload = {
             "kind": args.kind,
             "base_key": _key_meta(result.base_key),
@@ -275,7 +272,7 @@ def cmd_sweep(args) -> int:
     elif args.kind == "sensitivity":
         result = analysis.key_sensitivity_run(args.case, key, delta=args.delta,
                                               sequences=args.sequences,
-                                              length=args.length, burn_in=burn_in)
+                                              length=args.length, **burn_in)
         payload = {
             "kind": "sensitivity",
             "case": result.case,
@@ -284,7 +281,7 @@ def cmd_sweep(args) -> int:
             "delta_hex": float(result.delta).hex(),
             "sequences": args.sequences,
             "length": args.length,
-            "burn_in": burn_in,
+            "burn_in": result.burn_in,
             "offsets": list(result.offsets),
             "skipped_offsets": list(result.skipped_offsets),
             "pairwise_correlations": result.pairwise_correlations,
@@ -294,14 +291,13 @@ def cmd_sweep(args) -> int:
     else:
         result = analysis.entropy_sweep(key, sequences=args.sequences,
                                         length=args.length,
-                                        seed_increment=args.seed_increment,
-                                        burn_in=burn_in)
+                                        seed_increment=args.seed_increment, **burn_in)
         payload = {
             "kind": "entropy",
             "base_key": _key_meta(key),
             "sequences": result.sequences,
             "length": result.length,
-            "burn_in": burn_in,
+            "burn_in": result.burn_in,
             "seed_increment": result.seed_increment,
             "mean_entropy": result.mean_entropy,
             "entropies": result.entropies,
@@ -389,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequences", type=int, default=5)
     p.add_argument("--length", type=int, default=1000)
     p.add_argument("--burn-in", type=int,
-                   help="samples skipped before each orbit (default: 100 for "
-                        "correlation/differential, 0 for sensitivity/entropy)")
+                   help="samples skipped before each orbit (default: the sweep "
+                        "function's own; see README)")
     p.add_argument("--seed-increment", type=_parse_float, default=2.0 ** -20)
     p.add_argument("--pairs-csv", help="also write per-pair metrics as CSV")
     p.add_argument("-o", "--output", required=True)

@@ -280,9 +280,8 @@ def _check_counts(n: int, burn_in: int) -> None:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
 
 
-def orbit_chunks(key: MapKey, n: int, burn_in: int = 0,
-                 chunk: int = _CHUNK) -> Iterator[np.ndarray]:
-    """Yield the orbit of ``key`` as float64 arrays totalling ``n`` values.
+def orbit_chunks(key: MapKey, n: int, burn_in: int = 0) -> Iterator[np.ndarray]:
+    """Yield the orbit of ``key`` as float64 arrays of ``_CHUNK`` values or fewer, totalling ``n``.
 
     The first emitted value is x0 when burn_in == 0; otherwise the first
     burn_in iterates are discarded.  Streaming keeps memory flat for long
@@ -290,8 +289,8 @@ def orbit_chunks(key: MapKey, n: int, burn_in: int = 0,
     """
     _check_counts(n, burn_in)
     x, skip = key.x0, burn_in
-    for start in range(0, n, chunk):
-        block = np.empty(min(chunk, n - start))
+    for start in range(0, n, _CHUNK):
+        block = np.empty(min(_CHUNK, n - start))
         x = _orbit(key, x, skip, block)
         skip = 0
         yield block

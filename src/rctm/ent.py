@@ -35,21 +35,33 @@ class EntReport:
 
 def _as_bytes(data) -> np.ndarray:
     if isinstance(data, (bytes, bytearray, memoryview)):
-        return np.frombuffer(bytes(data), dtype=np.uint8)
+        data = np.frombuffer(bytes(data), dtype=np.uint8)
     arr = np.asarray(data)
     if arr.dtype != np.uint8:
         raise ValueError("byte input must be uint8 or bytes-like")
+    if arr.size == 0:
+        raise ValueError("byte input must be non-empty")
     return arr
 
 
 def byte_entropy(data) -> float:
     """Shannon entropy of the 8-bit symbol distribution, in bits per byte."""
     arr = _as_bytes(data)
-    if arr.size == 0:
-        raise ValueError("byte input must be non-empty")
     counts = np.bincount(arr, minlength=256)
     p = counts[counts > 0] / arr.size
     return float(-np.sum(p * np.log2(p)))
+
+
+def histogram_uniformity(data) -> tuple[np.ndarray, float, float]:
+    """Counts of the 256 byte values plus chi-square goodness of fit against uniform.
+
+    Returns (counts, chi_square, p_value) with 255 degrees of freedom.
+    """
+    arr = _as_bytes(data)
+    counts = np.bincount(arr, minlength=256)
+    expected = arr.size / 256
+    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    return counts, chi2, float(gammaincc(255 / 2.0, chi2 / 2.0))
 
 
 def _monte_carlo_pi(arr: np.ndarray) -> tuple[float, float]:
@@ -84,22 +96,17 @@ def ent_battery(data) -> EntReport:
     back as NaN.
     """
     arr = _as_bytes(data)
-    if arr.size == 0:
-        raise ValueError("byte input must be non-empty")
+    counts, chi2, chi2_p = histogram_uniformity(arr)
     n = arr.size
-    counts = np.bincount(arr, minlength=256)
     p = counts[counts > 0] / n
     entropy = float(-np.sum(p * np.log2(p)))
     compression = float(round((8.0 - entropy) / 8.0 * 100.0))
-    expected = n / 256.0
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    percentile = float(gammaincc(255 / 2.0, chi2 / 2.0) * 100.0)
     pi_est, pi_err = _monte_carlo_pi(arr)
     return EntReport(
         entropy_bits_per_byte=entropy,
         optimum_compression_pct=compression,
         chi_square_stat=chi2,
-        chi_square_percentile=percentile,
+        chi_square_percentile=chi2_p * 100.0,
         arithmetic_mean=float(arr.mean()),
         monte_carlo_pi=pi_est,
         monte_carlo_pi_error_pct=pi_err,

@@ -3,7 +3,7 @@
 Implements monobit, block frequency, runs, longest run of ones, cumulative
 sums (both directions), approximate entropy, serial and the spectral (DFT)
 test, following the SP 800-22 reference definitions.  Each test returns a
-(statistic, p-value) pair; a stream passes a test when p >= alpha.
+(statistic, p-value) pair; a stream passes a test when p >= ALPHA (0.01).
 
 The remaining SP 800-22 tests (rank, universal, linear complexity,
 template matching, random excursions) carry large constant tables and are
@@ -38,6 +38,9 @@ _MIN_BITS = {
 }
 
 TEST_NAMES = tuple(_MIN_BITS)
+
+# the whole subset runs from the largest floor, which fits block_frequency's default block
+SUBSET_MIN_BITS = max(_MIN_BITS.values())
 
 # entries emitted per stream: serial contributes its second p-value too
 ENTRY_NAMES = TEST_NAMES[:8] + ("serial_2", "dft")
@@ -206,6 +209,8 @@ def _pattern_counts(b: np.ndarray, m: int) -> list[np.ndarray]:
 def approximate_entropy(bits, m: int = 2) -> tuple[float, float]:
     """ApEn(m) = phi(m) - phi(m+1) over overlapping wrapped patterns."""
     b = _require("approximate_entropy", bits)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     n = b.size
     phi = []
     for counts in _pattern_counts(b, m + 1)[m:]:
@@ -227,8 +232,10 @@ def serial(bits, m: int = 2) -> tuple[tuple[float, float], tuple[float, float]]:
     """Serial test: first and second differences of psi^2 over pattern sizes.
 
     Returns ((delta_psi2, p1), (delta2_psi2, p2)); a stream passes when
-    both p-values clear alpha.
+    both p-values clear ALPHA.
     """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     counts = _pattern_counts(_require("serial", bits), m)
     # psi^2 is 0 by definition below size 1 (not (1/n) n^2 - n, which may round away from 0)
     psi_m, psi_m1, psi_m2 = (_psi_squared(counts[k]) if k >= 1 else 0.0
@@ -266,44 +273,42 @@ def nist_test(name: str, bits, **params) -> tuple[float, float]:
     return result[0] if name == "serial" else result
 
 
-def stream_outcomes(bits, alpha: float = ALPHA) -> list[TestOutcome]:
+def stream_outcomes(bits) -> list[TestOutcome]:
     """All subset tests on one stream, serial's second p-value as its own row."""
     b = _as_bits(bits)
+    if b.size < SUBSET_MIN_BITS:
+        raise ValueError(f"the NIST subset needs at least {SUBSET_MIN_BITS} bits, got {b.size}")
     results = [globals()[name](b) for name in TEST_NAMES]  # looked up when called, as in nist_test
     results[7:8] = results[7]  # serial's two results are the serial and serial_2 rows
-    return [TestOutcome(entry, stat, p, p >= alpha)
+    return [TestOutcome(entry, stat, p, p >= ALPHA)
             for entry, (stat, p) in zip(ENTRY_NAMES, results)]
 
 
-def stream_report(bits, alpha: float = ALPHA, meta: dict | None = None) -> TestReport:
-    """Single-stream report; passes when every entry clears alpha."""
+def stream_report(bits) -> TestReport:
+    """Single-stream report; passes when every entry clears ALPHA."""
     b = _as_bits(bits)
-    entries = tuple(stream_outcomes(b, alpha))
+    entries = tuple(stream_outcomes(b))
     stream_meta = {"length": int(b.size)}
     if isinstance(bits, BitStream):
         stream_meta["key_fingerprint"] = bits.key_fingerprint
-    if meta:
-        stream_meta.update(meta)
     return TestReport(battery="nist-subset", stream_meta=stream_meta,
-                      entries=entries, passed=all(e.passed for e in entries),
-                      alpha=alpha)
+                      entries=entries, passed=all(e.passed for e in entries))
 
 
-def min_proportion(streams: int, p_hat: float = 1.0 - ALPHA) -> float:
-    """Smallest acceptable pass proportion: p - 3 sqrt(p (1-p) / m)."""
+def min_proportion(streams: int) -> float:
+    """Smallest acceptable pass proportion: p - 3 sqrt(p (1-p) / m), p = 1 - ALPHA."""
+    p_hat = 1.0 - ALPHA
     return p_hat - 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / streams)
 
 
-def nist_battery(streams: Sequence[BitStream | np.ndarray],
-                 alpha: float = ALPHA) -> TestReport:
+def nist_battery(streams: Sequence[BitStream | np.ndarray]) -> TestReport:
     """Run every subset test on every stream and aggregate pass proportions.
 
     Parameters
     ----------
     streams : sequence of BitStream or 0/1 arrays
-        Typically disjoint segments of one long generator run.
-    alpha : float
-        Per-test significance level.
+        Typically disjoint segments of one long generator run, each of at
+        least SUBSET_MIN_BITS bits.
 
     Returns
     -------
@@ -317,7 +322,7 @@ def nist_battery(streams: Sequence[BitStream | np.ndarray],
         raise ValueError(f"battery needs one or more streams of one length, got lengths {lengths}")
     per_test: dict[str, list[bool]] = {name: [] for name in ENTRY_NAMES}
     for s in streams:
-        for row in stream_outcomes(s, alpha):
+        for row in stream_outcomes(s):
             per_test[row.test].append(row.passed)
     m = len(streams)
     bound = min_proportion(m)
@@ -332,4 +337,4 @@ def nist_battery(streams: Sequence[BitStream | np.ndarray],
     if len(fps) == 1:
         meta["key_fingerprint"] = fps.pop()
     return TestReport(battery="nist-subset", stream_meta=meta, entries=lines,
-                      passed=all(line.passed for line in lines), alpha=alpha)
+                      passed=all(line.passed for line in lines))

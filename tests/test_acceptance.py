@@ -116,7 +116,7 @@ def test_criterion_06_correlation_sweep():
 
 def test_criterion_07_histogram_uniformity():
     data = generate_quantized(make_key(MU, X0), 100_000, burn_in=BATTERY_BURN_IN)
-    _, chi2, p = histogram_uniformity(data, bins=256)
+    _, chi2, p = histogram_uniformity(data)
     report("criterion 7 (histogram, 10^5 samples)", p >= 0.01,
            f"chi2={chi2:.1f}, p={p:.4f} (>=0.01)")
 

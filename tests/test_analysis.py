@@ -13,6 +13,7 @@ from rctm.analysis import (
     pearson_correlation,
 )
 from rctm.core import InvalidKeyError, iterate, make_key
+from rctm.ent import ent_battery
 from rctm.prbg import generate_quantized, quantize_values
 
 
@@ -159,6 +160,16 @@ class TestKeySensitivity:
                                      delta=2.0 ** -48, sequences=5, length=3000)
         assert result.max_off_diagonal() <= 0.15
 
+    def test_burn_in_is_recorded(self):
+        result = key_sensitivity_run("vary_x0", make_key(49.13, 0.28), sequences=2, length=50)
+        assert result.burn_in == 0
+        assert all(t.burn_in == 0 for t in result.trajectories)
+        result = key_sensitivity_run("vary_x0", make_key(49.13, 0.28), sequences=2, length=50,
+                                     burn_in=7)
+        assert result.burn_in == 7
+        assert np.array_equal(result.trajectories[0].values,
+                              iterate(make_key(49.13, 0.28), 50, burn_in=7).values)
+
     def test_zero_delta_gives_unit_correlations(self):
         result = key_sensitivity_run("vary_x0", make_key(49.13, 0.28),
                                      delta=0.0, sequences=3, length=500)
@@ -197,6 +208,19 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram_uniformity(np.array([], dtype=np.uint8))
 
+    def test_non_bytes_rejected(self):
+        # the counts are over the 256 byte values, never over the data's own range
+        with pytest.raises(ValueError, match="uint8"):
+            histogram_uniformity(np.arange(256, dtype=np.int64))
+
+    def test_is_the_ent_histogram(self):
+        data = generate_quantized(make_key(61.81, 0.23), 10_000, burn_in=100)
+        counts, chi2, p = histogram_uniformity(data)
+        report = ent_battery(data)
+        assert np.array_equal(counts, np.bincount(data, minlength=256))
+        assert report.chi_square_stat == chi2
+        assert report.chi_square_percentile == p * 100.0
+
 
 class TestEntropySweep:
     def test_mean_entropy_of_generator(self):
@@ -204,6 +228,7 @@ class TestEntropySweep:
         assert result.mean_entropy >= 7.98
         assert result.entropies.size == 20
         assert result.seed_increment == 2.0 ** -20
+        assert result.burn_in == 0
 
     def test_degenerate_seed_collapses_entropy(self):
         # x0 = 0.5 hits 1.0 then the fixed point 0; almost every byte is 0

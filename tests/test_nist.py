@@ -201,6 +201,11 @@ class TestApproximateEntropy:
         _, p = approximate_entropy(np.zeros(10_000, dtype=np.uint8))
         assert p < 1e-10
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_pattern_size_below_one_rejected(self, m):
+        with pytest.raises(ValueError, match=f"^m must be >= 1, got {m}$"):
+            approximate_entropy(E100, m=m)
+
 
 class TestSerial:
     def test_known_vector_10(self):
@@ -232,6 +237,12 @@ class TestSerial:
         bits = np.tile([0, 1], 5000).astype(np.uint8)
         (_, p1), (_, p2) = serial(bits)
         assert p1 < 1e-10
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_pattern_size_below_one_rejected(self, m):
+        # m = 0 used to return ((0.0, 1.0), (0.0, 1.0)), a pass whatever the bits
+        with pytest.raises(ValueError, match=f"^m must be >= 1, got {m}$"):
+            serial(E100, m=m)
 
 
 class TestDft:
@@ -347,6 +358,14 @@ class TestBattery:
         assert report.stream_meta["key_fingerprint"] == bits.key_fingerprint
         for entry in report.entries:
             assert entry.passed == (entry.p_value >= 0.01)
+
+    @pytest.mark.parametrize("run", [stream_outcomes, stream_report,
+                                     lambda b: nist_battery([b, b])])
+    def test_stream_below_subset_floor_rejected(self, run):
+        # block_frequency alone accepts 8 bits, but the subset needs longest_run's 128
+        assert nist.SUBSET_MIN_BITS == 128
+        with pytest.raises(ValueError, match="^the NIST subset needs at least 128 bits, got 100$"):
+            run(E100)
 
     def test_empty_battery_rejected(self):
         with pytest.raises(ValueError):
