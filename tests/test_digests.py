@@ -6,8 +6,8 @@ arm and the robust arm, burn-in 0 and 1000, a batch of keys against the
 scalar path, the bit and byte generators, the byte histogram, and what
 the CLI writes, every sweep kind included.  The NIST digests hash every
 statistic and p-value as a hex float, so a rewrite of a test must keep
-its results exact.  Each test runs on the
-compiled orbit kernel and on its Python fallback.
+its results exact.  Each test runs on the compiled orbit kernel and on
+its Python fallback.
 """
 
 import hashlib

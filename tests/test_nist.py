@@ -240,7 +240,7 @@ class TestSerial:
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_pattern_size_below_one_rejected(self, m):
-        # m = 0 used to return ((0.0, 1.0), (0.0, 1.0)), a pass whatever the bits
+        # at m = 0 every psi^2 is 0 by definition, a pass whatever the bits
         with pytest.raises(ValueError, match=f"^m must be >= 1, got {m}$"):
             serial(E100, m=m)
 
