@@ -6,8 +6,9 @@ arm and the robust arm, burn-in 0 and 1000, a batch of keys against the
 scalar path, the bit and byte generators, the byte histogram, and what
 the CLI writes, every sweep kind included.  The NIST digests hash every
 statistic and p-value as a hex float, so a rewrite of a test must keep
-its results exact.  Each test runs on the compiled orbit kernel and on
-its Python fallback.
+its results exact; besides generated streams they cover constant,
+alternating and block-straddling ones.  Each test runs on the compiled
+orbit kernel and on its Python fallback.
 """
 
 import hashlib
@@ -73,13 +74,30 @@ def _hex(*values) -> str:
     return ",".join(float(v).hex() for v in values)
 
 
+# 10^4-bit streams at the edges of the run-length and partial-sum tests;
+# the single run of ones in "straddle" crosses the boundary between the
+# first two 128-bit blocks
+EDGE_STREAMS = {
+    "ones": np.ones(10_000, dtype=np.uint8),
+    "zeros": np.zeros(10_000, dtype=np.uint8),
+    "alternating": np.tile(np.array([0, 1], dtype=np.uint8), 5000),
+    "straddle": np.isin(np.arange(10_000), np.arange(100, 200)).astype(np.uint8),
+}
+
+
 def nist_digests() -> dict[str, str]:
-    """Digests of every stream_outcomes row and of the two pattern-count
-    tests at sizes m = 1..5."""
+    """Digests of every stream_outcomes row, of longest_run at the 8- and
+    128-bit block sizes, of longest_run and both cusum directions on the
+    edge streams, and of the two pattern-count tests at sizes m = 1..5."""
     stream = generate_bits(make_key(61.81, 0.23), 10**6, burn_in=1000)
     rows = "\n".join(f"{r.test},{_hex(r.statistic, r.p_value)}"
                      for r in nist.stream_outcomes(stream))
     out = {"nist/stream_outcomes": _sha(rows.encode())}
+    for n in (1000, 10**5):  # stream_outcomes covers the 10^4-bit blocks
+        out[f"nist/longest_run/n{n}"] = _sha(_hex(*nist.longest_run(stream.bits[:n])).encode())
+    for name, bits in EDGE_STREAMS.items():
+        for test in ("longest_run", "cusum_forward", "cusum_reverse"):
+            out[f"nist/{test}/{name}"] = _sha(_hex(*getattr(nist, test)(bits)).encode())
     bits = generate_bits(make_key(97.3, 0.611), 20000)
     for m in range(1, 6):
         out[f"nist/approximate_entropy/m{m}"] = _sha(
@@ -174,6 +192,20 @@ PINNED = {
     "segmented_streams/fingerprints": "fec7d1879021d42a1492c68c880493b37b1e20c6b4ecd6328c3772825d89f2df",
     "histogram_uniformity": "143819115cac6a5566c23b3436b1520c19d757842399233793aee9125928fb74",
     "nist/stream_outcomes": "da697e6a1c0b7266bc4b472f79b0c7781110c96cb1075c2f36d25ecf73823416",
+    "nist/longest_run/n1000": "2946b42984d752c7dead2c651bc8f07d9258039adbfe56c1bd12c5ee29d9d2de",
+    "nist/longest_run/n100000": "00f03bfa014b1ee16512d08ff1ce48ae72623bff516dcbb40379f6005c481ee8",
+    "nist/longest_run/ones": "b7270ff939776ba4298f1f039d8765a9f362ce9cc9ee4eb88631f76b3288c445",
+    "nist/cusum_forward/ones": "300b4f8fcba283bd1bb95e68eb28f18f344e05f5daf592fda0f58bc321f9cc32",
+    "nist/cusum_reverse/ones": "300b4f8fcba283bd1bb95e68eb28f18f344e05f5daf592fda0f58bc321f9cc32",
+    "nist/longest_run/zeros": "58ef6431fa73ff8b639f254a23654e4696865c92836fdefb49744eda2af0fa13",
+    "nist/cusum_forward/zeros": "300b4f8fcba283bd1bb95e68eb28f18f344e05f5daf592fda0f58bc321f9cc32",
+    "nist/cusum_reverse/zeros": "300b4f8fcba283bd1bb95e68eb28f18f344e05f5daf592fda0f58bc321f9cc32",
+    "nist/longest_run/alternating": "58ef6431fa73ff8b639f254a23654e4696865c92836fdefb49744eda2af0fa13",
+    "nist/cusum_forward/alternating": "27c81ba9e9c87091be416caeee74421c699dafaab7769135b03fd50eefe2a4ae",
+    "nist/cusum_reverse/alternating": "27c81ba9e9c87091be416caeee74421c699dafaab7769135b03fd50eefe2a4ae",
+    "nist/longest_run/straddle": "9512488efd480b0d5f520e30d2e1a1788601ed9ac2f5cd52f493ea24c1566300",
+    "nist/cusum_forward/straddle": "7e9cad7187c84eeac82794fc038fd2e9b6e49a4611848c7d741ec9ee6e50de24",
+    "nist/cusum_reverse/straddle": "7e9cad7187c84eeac82794fc038fd2e9b6e49a4611848c7d741ec9ee6e50de24",
     "nist/approximate_entropy/m1": "b5d5c87753688c567aa88432a791a7115d98479eebd67d05dc127fe122e1ec9f",
     "nist/approximate_entropy/m2": "fed4bd6fe9eede3e22f4b27d34a65a707240b7dc2873b92ad5e2fa8816014c1d",
     "nist/approximate_entropy/m3": "ca281b9439972ad89acb31e535d5f875cc3a4b415482f50aacae189a0fd7e581",

@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -138,6 +140,26 @@ class TestLongestRun:
         _, p = longest_run(np.ones(10_000, dtype=np.uint8))
         assert p < 1e-6
 
+    # every block size, partial last blocks, and ones densities that fill
+    # the lowest and the highest run-length classes
+    @pytest.mark.parametrize("n, density", [(128, 0.5), (1003, 0.3), (6271, 0.8),
+                                            (6272, 0.5), (100_017, 0.7), (750_000, 0.5)])
+    def test_matches_per_block_loop(self, n, density):
+        bits = (np.random.default_rng(n).random(n) < density).astype(np.uint8)
+        block = 8 if n < 6272 else (128 if n < 750000 else 10000)
+        dof, (lo, hi), probs = nist._LONGEST_RUN_TABLES[block]
+        counts = [0] * len(probs)
+        values = bits.tolist()
+        for start in range(0, n - block + 1, block):
+            best = cur = 0
+            for b in values[start:start + block]:
+                cur = cur + 1 if b else 0
+                best = max(best, cur)
+            counts[min(max(best, lo), hi) - lo] += 1
+        expected = (n // block) * np.asarray(probs)
+        chi2 = float(np.sum((np.asarray(counts) - expected) ** 2 / expected))
+        assert longest_run(bits) == (chi2, float(gammaincc(dof / 2.0, chi2 / 2.0)))
+
 
 class TestCusum:
     def test_known_vector_10(self):
@@ -162,6 +184,20 @@ class TestCusum:
             peak = max(peak, abs(walk))
         assert stat == peak
 
+    # biased streams end the walk far from 0, so the reverse maximum is not
+    # the forward one
+    @pytest.mark.parametrize("n, density", [(2, 1.0), (3, 0.5), (1000, 0.5),
+                                            (5000, 0.4), (5001, 0.6), (20_000, 0.55)])
+    def test_statistics_match_the_literal_walks(self, n, density):
+        bits = (np.random.default_rng(n).random(n) < density).astype(np.uint8)
+        for test, values in ((cusum_forward, bits.tolist()),
+                             (cusum_reverse, bits[::-1].tolist())):
+            walk = peak = 0
+            for b in values:
+                walk += 1 if b else -1
+                peak = max(peak, abs(walk))
+            assert test(bits)[0] == peak
+
     def test_forward_on_reversed_equals_reverse(self):
         rng = np.random.default_rng(4)
         bits = rng.integers(0, 2, size=2000, dtype=np.uint8)
@@ -171,6 +207,18 @@ class TestCusum:
     def test_too_short_names_its_direction(self, test):
         with pytest.raises(ValueError, match=f"^{test.__name__} needs at least 2 bits"):
             test(np.ones(1, dtype=np.uint8))
+
+
+# pattern sizes on both sides of each index dtype's width
+@pytest.mark.parametrize("m", [8, 9, 16, 17])
+def test_pattern_counts_match_a_window_count(m):
+    bits = np.random.default_rng(m).integers(0, 2, size=3000, dtype=np.uint8)
+    wrapped = bits.tolist() + bits[:m - 1].tolist()
+    counts = nist._pattern_counts(bits, m)
+    assert len(counts) == m + 1
+    for k in range(m + 1):
+        seen = Counter(tuple(wrapped[i:i + k]) for i in range(bits.size))
+        assert counts[k].tolist() == [seen[p] for p in itertools.product((0, 1), repeat=k)]
 
 
 class TestApproximateEntropy:
