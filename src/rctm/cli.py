@@ -195,7 +195,7 @@ def cmd_test_nist(args) -> int:
     report = nist.nist_battery(streams)
     payload = {
         "battery": report.battery,
-        "alpha": report.alpha,
+        "alpha": nist.ALPHA,
         "stream_meta": {**report.stream_meta, "burn_in": args.burn_in,
                         "degenerate_tail": degenerate},
         "entries": [asdict(e) for e in report.entries],

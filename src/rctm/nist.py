@@ -80,7 +80,6 @@ class TestReport:
     stream_meta: dict
     entries: tuple
     passed: bool
-    alpha: float = ALPHA
 
 
 def _as_bits(bits: BitStream | np.ndarray) -> np.ndarray:
@@ -151,12 +150,18 @@ def longest_run(bits) -> tuple[float, float]:
     block = 8 if n < 6272 else (128 if n < 750000 else 10000)
     dof, (lo, hi), probs = _LONGEST_RUN_TABLES[block]
     nblocks = n // block
-    rows = b[:nblocks * block].reshape(nblocks, block)
-    longest = np.zeros(nblocks, dtype=np.int64)
-    run = np.zeros(nblocks, dtype=np.int64)
-    for j in range(block):
-        run = (run + 1) * rows[:, j]
-        np.maximum(longest, run, out=longest)
+    # a zero on both sides of every block keeps each run inside its block, so
+    # the changes along the flat array alternate: a run starts, then it ends
+    padded = np.zeros((nblocks, block + 2), dtype=np.uint8)
+    padded[:, 1:-1] = b[:nblocks * block].reshape(nblocks, block)
+    flat = padded.ravel()
+    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    # each block's runs, from its first one; reduceat gives a block without
+    # runs the next block's first run (or the appended 0), so it is reset to 0
+    first = np.searchsorted(starts, np.arange(nblocks) * (block + 2))
+    longest = np.maximum.reduceat(np.append(ends - starts, 0), first)
+    longest[np.diff(first, append=starts.size) == 0] = 0
     classes = np.clip(longest, lo, hi) - lo
     counts = np.bincount(classes, minlength=len(probs))
     expected = nblocks * np.asarray(probs)
@@ -166,11 +171,16 @@ def longest_run(bits) -> tuple[float, float]:
 
 def _cusum(bits, reverse: bool) -> tuple[float, float]:
     b = _require("cusum_reverse" if reverse else "cusum_forward", bits)
-    x = 2 * b.astype(np.int64) - 1
-    if reverse:
-        x = x[::-1]
-    z = int(np.max(np.abs(np.cumsum(x))))
     n = b.size
+    # the +/-1 walk S_k, k = 1..n, built in place; |S_k| <= n fits int32 below 2^31 bits
+    walk = b.astype(np.int32 if n < 2**31 else np.int64)
+    walk <<= 1
+    walk -= 1
+    np.cumsum(walk, out=walk)
+    # forward: z = max |S_k|; reverse: the partial sums of the reversed bits
+    # are S_n - S_j for j = 0..n-1, with S_0 = 0, so nothing is reversed
+    end, walk = (int(walk[-1]), walk[:-1]) if reverse else (0, walk)
+    z = max(max(0, int(walk.max())) - end, end - min(0, int(walk.min())))
     sq = math.sqrt(n)
     # summation bounds truncate toward zero, as in the reference code
     k1 = np.arange(int((-n / z + 1) / 4), int((n / z - 1) / 4) + 1)
@@ -197,21 +207,36 @@ def _pattern_counts(b: np.ndarray, m: int) -> list[np.ndarray]:
     marginal of the next (pattern p counts patterns 2p and 2p+1)."""
     n = b.size
     ext = np.concatenate([b, b[:m - 1]]) if m > 1 else b
-    idx = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        idx = (idx << 1) | ext[j:j + n]
+    # the narrowest index that holds m bits
+    idx = ext[:n].astype(np.uint8 if m <= 8 else (np.uint16 if m <= 16 else np.int64))
+    for j in range(1, m):
+        idx <<= 1
+        idx |= ext[j:j + n]
     counts = [np.bincount(idx, minlength=2 ** m)]
     for _ in range(m):
         counts.append(counts[-1].reshape(-1, 2).sum(axis=1))
     return counts[::-1]
 
 
-def approximate_entropy(bits, m: int = 2) -> tuple[float, float]:
-    """ApEn(m) = phi(m) - phi(m+1) over overlapping wrapped patterns."""
-    b = _require("approximate_entropy", bits)
+def _check_pattern_size(m: int, n: int) -> None:
+    """Reject a pattern size m outside [1, log2 n]: above it the 2^m counters
+    outnumber the n patterns, and m = 0 counts nothing."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    if 2 ** m > n:
+        raise ValueError(f"m = {m} needs 2^m <= n bits, got n = {n}")
+
+
+def approximate_entropy(bits, m: int = 2) -> tuple[float, float]:
+    """ApEn(m) = phi(m) - phi(m+1) over overlapping wrapped patterns.
+
+    Raises ValueError unless 1 <= m and 2^m <= n.  SP 800-22 advises
+    m < floor(log2 n) - 5; that is not enforced, as its own worked example
+    (n = 10, m = 3) breaks it.
+    """
+    b = _require("approximate_entropy", bits)
     n = b.size
+    _check_pattern_size(m, n)
     phi = []
     for counts in _pattern_counts(b, m + 1)[m:]:
         c = counts[counts > 0] / n
@@ -232,11 +257,13 @@ def serial(bits, m: int = 2) -> tuple[tuple[float, float], tuple[float, float]]:
     """Serial test: first and second differences of psi^2 over pattern sizes.
 
     Returns ((delta_psi2, p1), (delta2_psi2, p2)); a stream passes when
-    both p-values clear ALPHA.
+    both p-values clear ALPHA.  Raises ValueError unless 1 <= m and
+    2^m <= n.  SP 800-22 advises m < floor(log2 n) - 2; that is not
+    enforced, as its own worked example (n = 10, m = 3) breaks it.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    counts = _pattern_counts(_require("serial", bits), m)
+    b = _require("serial", bits)
+    _check_pattern_size(m, b.size)
+    counts = _pattern_counts(b, m)
     # psi^2 is 0 by definition below size 1 (not (1/n) n^2 - n, which may round away from 0)
     psi_m, psi_m1, psi_m2 = (_psi_squared(counts[k]) if k >= 1 else 0.0
                              for k in (m, m - 1, m - 2))

@@ -29,10 +29,6 @@ class BitStream:
     def __post_init__(self):
         self.bits.flags.writeable = False
 
-    @property
-    def length(self) -> int:
-        return self.bits.size
-
     def __len__(self) -> int:
         return self.bits.size
 

@@ -157,6 +157,7 @@ class TestBatteries:
                     "--streams", 20, "--bits", 20000, "--burn-in", 1000, "-o", out])
         data = json.loads(out.read_text())
         assert data["battery"] == "nist-subset"
+        assert '"alpha": 0.01,' in out.read_text()
         assert {e["test"] for e in data["entries"]} >= {"monobit", "dft", "serial_2"}
         assert code == (0 if data["passed"] else 2)
 

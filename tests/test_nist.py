@@ -254,6 +254,12 @@ class TestApproximateEntropy:
         with pytest.raises(ValueError, match=f"^m must be >= 1, got {m}$"):
             approximate_entropy(E100, m=m)
 
+    @pytest.mark.parametrize("m, n", [(20, 100), (30, 10**6)])
+    def test_pattern_size_above_log2_n_rejected(self, m, n):
+        # 2^m counters for n patterns; m = 30 would allocate gigabytes
+        with pytest.raises(ValueError, match=f"^m = {m} needs 2\\^m <= n bits, got n = {n}$"):
+            approximate_entropy(np.zeros(n, dtype=np.uint8), m=m)
+
 
 class TestSerial:
     def test_known_vector_10(self):
@@ -291,6 +297,11 @@ class TestSerial:
         # at m = 0 every psi^2 is 0 by definition, a pass whatever the bits
         with pytest.raises(ValueError, match=f"^m must be >= 1, got {m}$"):
             serial(E100, m=m)
+
+    @pytest.mark.parametrize("m, n", [(20, 100), (30, 10**6)])
+    def test_pattern_size_above_log2_n_rejected(self, m, n):
+        with pytest.raises(ValueError, match=f"^m = {m} needs 2\\^m <= n bits, got n = {n}$"):
+            serial(np.zeros(n, dtype=np.uint8), m=m)
 
 
 class TestDft:
