@@ -305,6 +305,34 @@ class TestKernel:
             chunks = np.concatenate(list(orbit_chunks(key, 140, burn_in=10)))
             assert np.array_equal(chunks, expected[10:])
 
+    def test_one_step_equals_reference_step_at_edge_states(self, kernel):
+        """One loop step from every state where a min/truncate rewrite of the
+        reflection and the floor could part from the reference branch and floor."""
+        near = lambda v: (np.nextafter(v, -1.0), v, np.nextafter(v, 2.0))
+        keys = random_keys(12, seed=5) + [
+            make_key(mu, 0.3) for mu in (float(np.nextafter(2.0, 3.0)), 2.0 + 2.0 ** -30, 2.5,
+                                         float(np.nextafter(3.0, 2.0)), 61.81, 97.3, 99.99,
+                                         float(np.nextafter(100.0, 0.0)))
+        ] + [ctm_key(mu, 0.3) for mu in (2.0, float(np.nextafter(2.0, 0.0)), 1.7, 1.0, 0.9)]
+        out = np.empty(1)
+        on_integer = 0
+        for key in keys:
+            step = (lambda v: ctm_step(v, key.mu)) if key.is_ctm else (lambda v: rctm_step(v, key))
+            states = {0.0, 1.0, *near(0.5), *near(key.n1), *near(key.n2)}
+            # mu*x and mu*(1-x) on each integer up to mu/2 and one ulp under it
+            for k in range(1, int(key.mu / 2) + 1):
+                for base in (k / key.mu, 1.0 - k / key.mu):
+                    for x in (*near(np.nextafter(base, -1.0)), *near(np.nextafter(base, 2.0))):
+                        t = key.mu * (x if x < 0.5 else 1.0 - x)
+                        if t in (k, np.nextafter(k, 0.0)):
+                            states.add(x)
+                            on_integer += 1
+            for x in sorted(float(x) for x in states if 0.0 <= x <= 1.0):
+                got = core._orbit(key, x, 0, out)
+                assert out[0] == x
+                assert float(got).hex() == step(x).hex(), (key.mu, x.hex())
+        assert on_integer > 500
+
     def test_kernel_attribute_is_read_only(self, kernel):
         assert core.KERNEL == kernel
         with pytest.raises(AttributeError):
