@@ -243,7 +243,12 @@ def _kernel():
 
 
 def _orbit_py(mu, n1, n2, s, tent, x, skip, n, out):
-    """Pure-Python mirror of ``rctm_orbit`` in ``_orbit.c``, for when it cannot be built."""
+    """Pure-Python form of ``rctm_orbit`` in ``_orbit.c``, for when it cannot be built.
+
+    It computes the same states through the reference step's branch and
+    floor, where the C loop takes min(x, 1 - x) and truncates; in Python
+    those forms are slower.
+    """
     for i in range(-skip, n):
         if i >= 0:
             out[i] = x
