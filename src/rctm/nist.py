@@ -86,6 +86,8 @@ def _as_bits(bits: BitStream | np.ndarray) -> np.ndarray:
     arr = bits.bits if isinstance(bits, BitStream) else np.asarray(bits, dtype=np.uint8)
     if arr.ndim != 1:
         raise ValueError("bit input must be one-dimensional")
+    if arr.size and arr.max() > 1:
+        raise ValueError(f"bit input must hold only 0 and 1, got {int(arr.max())}")
     return arr
 
 

@@ -426,6 +426,13 @@ class TestBattery:
         with pytest.raises(ValueError, match="^the NIST subset needs at least 128 bits, got 100$"):
             run(E100)
 
+    @pytest.mark.parametrize("name", [*nist.TEST_NAMES, "stream_outcomes", "nist_battery"])
+    def test_values_other_than_zero_and_one_rejected(self, name):
+        bits = np.random.default_rng(16).integers(0, 3, size=10_000, dtype=np.uint8)
+        run = (lambda b: nist_battery([b, b])) if name == "nist_battery" else getattr(nist, name)
+        with pytest.raises(ValueError, match="^bit input must hold only 0 and 1, got 2$"):
+            run(bits)
+
     def test_empty_battery_rejected(self):
         with pytest.raises(ValueError):
             nist_battery([])
