@@ -178,19 +178,11 @@ def rctm_step(x: float, key: MapKey) -> float:
 
 
 def log_derivative(x: float, key: MapKey) -> float:
-    """ln |slope| of the branch taken at x.
-
-    The mod and the reflection contribute unit-magnitude factors, so the
-    slope magnitude is mu on plain branches and mu / ((mu/2) mod 1) on the
-    scaled branch.  Branch-boundary points count as scaled, matching the
-    step functions' tie rule.
-    """
+    """ln |slope| of the branch taken at x: one state through the rule of
+    ``dynamics._branch_log_slopes``, which applies it to whole orbits."""
     _check_state(x)
-    if key.is_ctm:
-        return math.log(key.mu)
-    if key.n1 <= x <= key.n2:
-        return math.log(key.mu / key.scale)
-    return math.log(key.mu)
+    from .dynamics import _branch_log_slopes  # dynamics imports this module
+    return float(_branch_log_slopes(np.array([x]), key)[0])
 
 
 _SOURCE = Path(__file__).with_name("_orbit.c")

@@ -100,6 +100,13 @@ def bifurcation_sample(mu_grid: Sequence[float], x0: float,
 
 
 def _branch_log_slopes(values: np.ndarray, key: MapKey) -> np.ndarray:
+    """ln |slope| of the branch taken at each state.
+
+    The mod and the reflection contribute unit-magnitude factors, so the
+    slope magnitude is mu on plain branches and mu / ((mu/2) mod 1) on the
+    scaled branch.  Branch-boundary points count as scaled, matching the
+    step functions' tie rule.
+    """
     if key.is_ctm:
         return np.full(values.size, math.log(key.mu))
     scaled = (values >= key.n1) & (values <= key.n2)
