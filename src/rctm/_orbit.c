@@ -4,9 +4,9 @@
  * build with -O2 -ffp-contract=off and never with -ffast-math, so every
  * product, difference and quotient rounds once in IEEE-754 binary64.
  *
- * Two statements differ in form from the reference, to keep a branch and a
- * libm call off the chain from one state to the next; both are exact for
- * states in [0, 1]:
+ * Two statements differ in form from the reference, to keep a branch (taken
+ * at random on a chaotic orbit) and floor's range check off the chain from
+ * one state to the next; both are exact for states in [0, 1]:
  * - the reflection takes min(x, 1 - x) (one minsd): for x >= 1/2, 1 - x is
  *   exact (Sterbenz) and <= x; for x < 1/2, 1 - x rounds to >= 1/2 > x;
  * - on the robust arm the floor is a truncation: mu < 100 and the reflected
