@@ -270,9 +270,13 @@ class TestTrajectoryType:
         assert isinstance(key, MapKey)
 
 
+def _reference_step(key):
+    return (lambda v: ctm_step(v, key.mu)) if key.is_ctm else (lambda v: rctm_step(v, key))
+
+
 def _reference_orbit(key, n):
     """Chained reference steps: the oracle every orbit path must match."""
-    step = (lambda v: ctm_step(v, key.mu)) if key.is_ctm else (lambda v: rctm_step(v, key))
+    step = _reference_step(key)
     x = key.x0
     out = []
     for _ in range(n):
@@ -317,7 +321,7 @@ class TestKernel:
         out = np.empty(1)
         on_integer = 0
         for key in keys:
-            step = (lambda v: ctm_step(v, key.mu)) if key.is_ctm else (lambda v: rctm_step(v, key))
+            step = _reference_step(key)
             states = {0.0, 1.0, *near(0.5), *near(key.n1), *near(key.n2)}
             # mu*x and mu*(1-x) on each integer up to mu/2 and one ulp under it
             for k in range(1, int(key.mu / 2) + 1):
