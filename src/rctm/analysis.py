@@ -257,9 +257,9 @@ def entropy_sweep(base: MapKey, sequences: int = 100, length: int = 100_000,
     if sequences < 1:
         raise ValueError(f"sequences must be >= 1, got {sequences}")
     keys = [make_key(base.mu, base.x0 + k * seed_increment) for k in range(sequences)]
-    states = iterate_batch(keys, length, burn_in)
-    entropies = np.array([byte_entropy(quantize_values(states[i]))
-                          for i in range(sequences)])
+    # blocks of 8 keys (two lockstep groups of the orbit loop) keep memory flat
+    entropies = np.array([byte_entropy(quantize_values(row)) for i in range(0, sequences, 8)
+                          for row in iterate_batch(keys[i:i + 8], length, burn_in)])
     return EntropySweepResult(mean_entropy=float(entropies.mean()),
                               entropies=entropies,
                               seed_increment=seed_increment,

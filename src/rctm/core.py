@@ -227,37 +227,40 @@ def _kernel():
         fn = ctypes.CDLL(str(_build())).rctm_orbit
     except (OSError, subprocess.CalledProcessError):
         return None
+    array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
-    fn.argtypes = [ctypes.c_double] * 4 + [ctypes.c_int, ctypes.c_double,
-                                           ctypes.c_int64, ctypes.c_int64, out]
-    fn.restype = ctypes.c_double
+    fn.argtypes = [ctypes.c_int64, array, out, ctypes.c_int64, ctypes.c_int64, out]
+    fn.restype = None
     return fn
 
 
-def _orbit_py(mu, n1, n2, s, tent, x, skip, n, out):
+def _orbit_py(rows, keys, x, skip, n, out):
     """Pure-Python form of ``rctm_orbit`` in ``_orbit.c``, for when it cannot be built.
 
-    It computes the same states through the reference step's branch and
-    floor, where the C loop takes min(x, 1 - x) and truncates; in Python
-    those forms are slower.
+    It runs the rows one after another and computes the same states through
+    the reference step's branch and floor, where the C loop takes
+    min(x, 1 - x) and truncates; in Python those forms are slower.
     """
-    for i in range(-skip, n):
-        if i >= 0:
-            out[i] = x
-        t = mu * x if x < 0.5 else mu * (1.0 - x)
-        if not tent:
-            t -= math.floor(t)
-            if n1 <= x <= n2:
-                t = 0.0 if t > s else t / s
-        x = t
-    return x
+    out = out.reshape(rows, n)
+    for r in range(rows):
+        (mu, n1, n2, s, tent), row, xr = keys[r].tolist(), out[r], float(x[r])
+        for i in range(-skip, n):
+            if i >= 0:
+                row[i] = xr
+            t = mu * xr if xr < 0.5 else mu * (1.0 - xr)
+            if not tent:
+                t -= math.floor(t)
+                if n1 <= xr <= n2:
+                    t = 0.0 if t > s else t / s
+            xr = t
+        x[r] = xr
 
 
-def _orbit(key: MapKey, x: float, skip: int, out: np.ndarray) -> float:
-    """Fill ``out`` with the orbit from state x after skip discarded iterates;
-    returns the state that follows the last one written."""
-    loop = _kernel() or _orbit_py
-    return loop(key.mu, key.n1, key.n2, key.scale, key.is_ctm, x, skip, out.size, out)
+def _orbit(keys: Sequence[MapKey], x: np.ndarray, skip: int, out: np.ndarray) -> None:
+    """Fill row i of ``out`` with the orbit of keys[i] from state x[i] after
+    skip discarded iterates; x[i] becomes the state that follows the row."""
+    params = np.array([(k.mu, k.n1, k.n2, k.scale, k.is_ctm) for k in keys])
+    (_kernel() or _orbit_py)(len(keys), params, x, skip, out.shape[-1], out)
 
 
 class _CoreModule(types.ModuleType):
@@ -285,10 +288,10 @@ def orbit_chunks(key: MapKey, n: int, burn_in: int = 0) -> Iterator[np.ndarray]:
     runs (bit generation, battery segmentation).
     """
     _check_counts(n, burn_in)
-    x, skip = key.x0, burn_in
+    x, skip = np.array([key.x0]), burn_in
     for start in range(0, n, _CHUNK):
         block = np.empty(min(_CHUNK, n - start))
-        x = _orbit(key, x, skip, block)
+        _orbit([key], x, skip, block)
         skip = 0
         yield block
 
@@ -300,20 +303,19 @@ def iterate(key: MapKey, n: int, burn_in: int = 0) -> Trajectory:
     """
     _check_counts(n, burn_in)
     out = np.empty(n)
-    _orbit(key, key.x0, burn_in, out)
+    _orbit([key], np.array([key.x0]), burn_in, out)
     return Trajectory(values=out, key=key, burn_in=burn_in)
 
 
 def iterate_batch(keys: Sequence[MapKey], n: int, burn_in: int = 0) -> np.ndarray:
     """Orbits of several keys, one row per key.
 
-    Runs the orbit loop once per key; row i is bit-identical to
-    ``iterate(keys[i], n, burn_in).values``.
+    One call of the orbit loop runs every key, four rows in lockstep; row i
+    is bit-identical to ``iterate(keys[i], n, burn_in).values``.
     """
     _check_counts(n, burn_in)
     if not keys:
         raise ValueError("keys must be non-empty")
     out = np.empty((len(keys), n))
-    for key, row in zip(keys, out):
-        _orbit(key, key.x0, burn_in, row)
+    _orbit(keys, np.array([k.x0 for k in keys]), burn_in, out)
     return out

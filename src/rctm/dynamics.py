@@ -145,12 +145,12 @@ def lyapunov_grid(mu_values: Sequence[float], x0: float, n: int,
     keys = [k for mu in mu_values if (k := _grid_key(float(mu), x0)) is not None]
     if not keys:
         raise ValueError("no supported mu values in grid")
-    states = iterate_batch(keys, n, burn_in)
+    # blocks of 8 keys (two lockstep groups of the orbit loop) keep memory flat
     return [
-        LyapunovEstimate(mu=key.mu,
-                         exponent=float(_branch_log_slopes(states[row], key).mean()),
+        LyapunovEstimate(mu=key.mu, exponent=float(_branch_log_slopes(row, key).mean()),
                          n_samples=n)
-        for row, key in enumerate(keys)
+        for i in range(0, len(keys), 8)
+        for key, row in zip(keys[i:i + 8], iterate_batch(keys[i:i + 8], n, burn_in))
     ]
 
 

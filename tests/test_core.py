@@ -318,7 +318,6 @@ class TestKernel:
                                          float(np.nextafter(3.0, 2.0)), 61.81, 97.3, 99.99,
                                          float(np.nextafter(100.0, 0.0)))
         ] + [ctm_key(mu, 0.3) for mu in (2.0, float(np.nextafter(2.0, 0.0)), 1.7, 1.0, 0.9)]
-        out = np.empty(1)
         on_integer = 0
         for key in keys:
             step = _reference_step(key)
@@ -331,11 +330,34 @@ class TestKernel:
                         if t in (k, np.nextafter(k, 0.0)):
                             states.add(x)
                             on_integer += 1
-            for x in sorted(float(x) for x in states if 0.0 <= x <= 1.0):
-                got = core._orbit(key, x, 0, out)
-                assert out[0] == x
-                assert float(got).hex() == step(x).hex(), (key.mu, x.hex())
+            # every state is one row of a single n = 1 call, so the states
+            # pass through the four-lane groups and the remainder loop
+            xs = sorted(float(x) for x in states if 0.0 <= x <= 1.0)
+            got, out = np.array(xs), np.empty((len(xs), 1))
+            core._orbit([key] * len(xs), got, 0, out)
+            assert out[:, 0].tolist() == xs
+            for x, y in zip(xs, got.tolist()):
+                assert y.hex() == step(x).hex(), (key.mu, x.hex())
         assert on_integer > 500
+
+    @pytest.mark.parametrize("burn_in", [0, 1, 1000])
+    def test_every_lane_equals_the_one_key_orbit(self, kernel, burn_in, monkeypatch):
+        """1 to 9 rows: no group, one or two four-lane groups, and 0-3 rows left
+        over, with tent and robust keys mixed inside a group."""
+        keys = [make_key(61.81, 0.23), ctm_key(1.7, 0.3), make_key(2.5, 0.3),
+                ctm_key(2.0, 0.61), make_key(97.3, 0.611), make_key(49.13, 0.28),
+                ctm_key(0.9, 0.4), make_key(7.39, 0.41), make_key(3.75, 0.5)]
+        for n in (1, 60):
+            expected = [_reference_orbit(key, burn_in + n)[burn_in:] for key in keys]
+            for rows in range(1, len(keys) + 1):
+                batch = iterate_batch(keys[:rows], n, burn_in)
+                for key, row, ref in zip(keys, batch, expected):
+                    assert np.array_equal(row, iterate(key, n, burn_in).values)
+                    assert np.array_equal(row, ref)
+        monkeypatch.setattr(core, "_CHUNK", 37)
+        for key in keys:
+            chunks = np.concatenate(list(orbit_chunks(key, 100, burn_in)))
+            assert np.array_equal(chunks, iterate(key, 100, burn_in).values)
 
     def test_kernel_attribute_is_read_only(self, kernel):
         assert core.KERNEL == kernel
