@@ -242,8 +242,8 @@ def _orbit_py(rows, keys, x, skip, n, out):
     min(x, 1 - x) and truncates; in Python those forms are slower.
     """
     out = out.reshape(rows, n)
-    for r in range(rows):
-        (mu, n1, n2, s, tent), row, xr = keys[r].tolist(), out[r], float(x[r])
+    for r, (mu, n1, n2, s, tent) in enumerate(keys.tolist()):
+        row, xr = out[r], float(x[r])
         for i in range(-skip, n):
             if i >= 0:
                 row[i] = xr
@@ -259,8 +259,11 @@ def _orbit_py(rows, keys, x, skip, n, out):
 def _orbit(keys: Sequence[MapKey], x: np.ndarray, skip: int, out: np.ndarray) -> None:
     """Fill row i of ``out`` with the orbit of keys[i] from state x[i] after
     skip discarded iterates; x[i] becomes the state that follows the row."""
+    rows, n = len(keys), out.shape[-1]
+    if x.shape != (rows,) or out.size != rows * n:
+        raise ValueError(f"{rows} keys need {rows} states and {rows} output rows")
     params = np.array([(k.mu, k.n1, k.n2, k.scale, k.is_ctm) for k in keys])
-    (_kernel() or _orbit_py)(len(keys), params, x, skip, out.shape[-1], out)
+    (_kernel() or _orbit_py)(rows, params, x, skip, n, out)
 
 
 class _CoreModule(types.ModuleType):

@@ -359,6 +359,13 @@ class TestKernel:
             chunks = np.concatenate(list(orbit_chunks(key, 100, burn_in)))
             assert np.array_equal(chunks, iterate(key, 100, burn_in).values)
 
+    def test_rows_of_states_and_output_must_match_the_keys(self):
+        key = make_key(61.81, 0.23)
+        with pytest.raises(ValueError):
+            core._orbit([key, key], np.array([0.3]), 0, np.empty((2, 5)))
+        with pytest.raises(ValueError):
+            core._orbit([key, key], np.array([0.3, 0.4]), 0, np.empty(5))
+
     def test_kernel_attribute_is_read_only(self, kernel):
         assert core.KERNEL == kernel
         with pytest.raises(AttributeError):
