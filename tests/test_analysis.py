@@ -269,3 +269,16 @@ class TestKeySpace:
     def test_non_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             keyspace_report(0)
+
+    @pytest.mark.parametrize("p", [-3, -306])
+    def test_range_ends_count_every_component(self, p):
+        report = keyspace_report(p)
+        assert min(report.component_counts.values()) >= 1.0
+        assert all(math.isfinite(v) for v in report.component_counts.values())
+        assert math.isfinite(report.total_bits) and report.total_bits > 0
+
+    @pytest.mark.parametrize("p", [-2, -307, -400])
+    def test_exponent_outside_the_model_rejected(self, p):
+        # -2 counts 0.1 values per bound, -307 overflows mu's count to inf
+        with pytest.raises(ValueError, match=r"\[-306, -3\]"):
+            keyspace_report(p)

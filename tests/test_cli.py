@@ -149,6 +149,17 @@ class TestDynamicsCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("points", [0, -1])
+    @pytest.mark.parametrize("what", ["bifurcation", "lyapunov", "coverage"])
+    def test_empty_grid_exits_1(self, tmp_path, capsys, what, points):
+        out = tmp_path / "grid.csv"
+        assert run(["analyze-dynamics", "--what", what, "--grid-points", points,
+                    "--iterations", 1000, "-o", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "grid" in err
+        assert not out.exists()
+
 
 class TestBatteries:
     def test_nist_report(self, tmp_path):
@@ -235,13 +246,33 @@ class TestSweepCommand:
 
     def test_sensitivity_json(self, tmp_path):
         out = tmp_path / "sens.json"
-        assert run(["sweep", "--kind", "sensitivity", "--case", "vary_mu",
+        assert run(["sweep", "--kind", "sensitivity", "--vary", "mu",
                     "--mu", 49.13, "--x0", 0.28, "--delta", "0x1p-48",
                     "--sequences", 5, "--length", 1000, "-o", out]) == 0
         data = json.loads(out.read_text())
         assert data["max_abs_off_diagonal"] <= 0.2
         assert len(data["preview"]) == 5
         assert len(data["preview"][0]) == 30
+
+    @pytest.mark.parametrize("vary", ["mu", "x0"])
+    def test_sensitivity_perturbs_the_vary_parameter(self, tmp_path, vary):
+        out = tmp_path / "sens.json"
+        assert run(["sweep", "--kind", "sensitivity", "--vary", vary,
+                    "--mu", 49.13, "--x0", 0.28, "--delta", 0.001,
+                    "--sequences", 3, "--length", 100, "-o", out]) == 0
+        data = json.loads(out.read_text())
+        assert data["case"] == f"vary_{vary}"
+        assert data["offsets"] == [0, 1, 2]
+        # at burn-in 0 each preview row starts at its key's x0
+        starts = [row[0] for row in data["preview"]]
+        assert starts == ([0.28 + k * 0.001 for k in range(3)] if vary == "x0" else [0.28] * 3)
+
+    def test_case_option_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--kind", "sensitivity", "--case", "vary_x0",
+                 "--mu", 49.13, "--x0", 0.28, "-o", tmp_path / "sens.json"])
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
 
     def test_entropy_sweep_json(self, tmp_path):
         out = tmp_path / "entropy.json"
@@ -252,7 +283,7 @@ class TestSweepCommand:
         assert len(data["entropies"]) == 10
 
     @pytest.mark.parametrize("kind,args", [
-        ("sensitivity", ["--case", "vary_x0", "--sequences", 3, "--length", 200]),
+        ("sensitivity", ["--vary", "x0", "--sequences", 3, "--length", 200]),
         ("entropy", ["--sequences", 3, "--length", 2000]),
     ])
     def test_burn_in_reaches_sensitivity_and_entropy(self, tmp_path, kind, args):
@@ -277,3 +308,12 @@ class TestKeyspaceCommand:
         data = json.loads(out.read_text())
         assert round(data["total_bits"]) == 199
         assert round(data["weak_key_adjusted_bits"]) == 198
+
+    @pytest.mark.parametrize("p", [-2, -307, -400])
+    def test_exponent_outside_the_model_exits_1(self, tmp_path, capsys, p):
+        out = tmp_path / "ks.json"
+        assert run(["keyspace", "--precision-exponent", p, "-o", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "[-306, -3]" in err
+        assert not out.exists()

@@ -421,3 +421,26 @@ class TestKernel:
         assert outputs == ["c"] * 4
         built = list((tmp_path / "__pycache__" / "rctm_orbit").iterdir())
         assert len(built) == 1 and built[0].suffix == ".so"
+
+
+# Known answers for the binary64 orbit's measured weaknesses, on the compiled
+# loop (the pinned digests hold the fallback equal to it).
+class TestMeasuredWeaknesses:
+    @pytest.mark.parametrize("kernel", ["c"], indirect=True)
+    @pytest.mark.parametrize("mu,x0,first_repeat,earlier", [
+        (49.13, 0.28, 10_685_535, 2_712_101),  # the paper's sensitivity key
+        (97.3, 0.611, 5_826_271, 3_921_920),
+    ])
+    def test_first_repeat_of_the_orbit(self, kernel, mu, x0, first_repeat, earlier):
+        x = iterate(make_key(mu, x0), first_repeat + 1).values
+        assert x[first_repeat] == x[earlier]
+        assert np.unique(x[:first_repeat]).size == first_repeat
+
+    @pytest.mark.parametrize("kernel", ["c"], indirect=True)
+    @pytest.mark.parametrize("mu,x0", [(61.81, 0.77), (49.13, 0.9), (97.3, 0.611)])
+    def test_mirror_twin_keys_give_one_orbit_after_the_first_step(self, kernel, mu, x0):
+        # for x >= 1/2, 1 - x is exact and the branch and region are symmetric
+        key, twin = make_key(mu, x0), make_key(mu, 1.0 - x0)
+        assert np.array_equal(iterate(key, 10**5, burn_in=1).values,
+                              iterate(twin, 10**5, burn_in=1).values)
+        assert not np.array_equal(iterate(key, 10**5).values, iterate(twin, 10**5).values)

@@ -122,8 +122,8 @@ DYNAMICS_ARGS = {
 SWEEP_ARGS = {
     "correlation": {"default": ["--pairs", "50", "--length", "500"]},
     "differential": {"burn0": ["--pairs", "50", "--length", "500", "--burn-in", "0"]},
-    "sensitivity": {"vary_mu": ["--case", "vary_mu", "--length", "500"],
-                    "vary_x0_burn5000": ["--case", "vary_x0", "--length", "500",
+    "sensitivity": {"vary_mu": ["--vary", "mu", "--length", "500"],
+                    "vary_x0_burn5000": ["--vary", "x0", "--length", "500",
                                          "--burn-in", "5000"]},
     "entropy": {"default": ["--sequences", "10", "--length", "10000"],
                 "burn300": ["--sequences", "10", "--length", "10000", "--burn-in", "300"]},
