@@ -1,0 +1,27 @@
+"""Fail unless the compiled orbit kernel is active in the installed layout.
+
+A silent fallback to the Python orbit loop would pass every test while
+running about 20x slower.  Run it on the package as built by setuptools'
+``build_py``, from outside the checkout, so that it also fails when
+``_orbit.c`` is missing from the package data:
+
+    python -c "from setuptools import setup; setup()" -q build_py -d "$PKG"
+    cd "$SOMEWHERE_ELSE" && PYTHONPATH="$PKG" python /path/to/check_kernel.py
+"""
+
+import sys
+
+import numpy as np
+
+import rctm
+from rctm import core
+
+rctm.iterate(rctm.make_key(61.81, 0.23), 10)
+if core.KERNEL != "c":
+    sys.exit(f"orbit kernel is {core.KERNEL!r}, expected c")
+# one four-lane group and one row left over, a tent key among them
+keys = [rctm.make_key(mu, 0.23) for mu in (61.81, 97.3, 2.5, 49.13)]
+keys.append(core.ctm_key(1.7, 0.3))
+batch = core.iterate_batch(keys, 1000, burn_in=100)
+rows = [core.iterate(k, 1000, burn_in=100).values for k in keys]
+sys.exit(0 if np.array_equal(batch, rows) else "iterate_batch differs from iterate")

@@ -11,7 +11,7 @@ drawn until the requested pair count is reached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -273,11 +273,12 @@ def keyspace_report(precision_exponent: int = -16) -> KeySpaceReport:
     Components: x0 over (0, 1) gives 10**-p values; mu over (2, 100) gives
     98 * 10**-p; each derived bound contributes three fewer decimal digits,
     10**-(p + 3).  Total bits is log2 of the product; the weak-key-adjusted
-    figure halves the space (one bit).
+    figure halves the space (one bit).  p must lie in [-306, -3], where every
+    component counts at least one value and stays finite in binary64.
     """
     p = int(precision_exponent)
-    if p >= 0:
-        raise ValueError(f"precision_exponent must be negative, got {p}")
+    if not -306 <= p <= -3:
+        raise ValueError(f"precision_exponent must lie in [-306, -3], got {p}")
     counts = {
         "x0": 10.0 ** (-p),
         "mu": (MU_MAX - MU_MIN) * 10.0 ** (-p),

@@ -152,6 +152,8 @@ def _dynamics_key(mu: float, x0: float) -> MapKey:
 def _mu_grid(args) -> list[float]:
     if args.mu is not None:
         return [args.mu]
+    if args.grid_points < 1:
+        raise ValueError(f"grid points must be >= 1, got {args.grid_points}")
     return [float(v) for v in np.linspace(args.mu_min, args.mu_max, args.grid_points)]
 
 
@@ -270,7 +272,7 @@ def cmd_sweep(args) -> int:
                          repr(float(result.uaci_pct[i])), repr(float(result.npcr_pct[i])))
                         for i in range(result.pairs)))
     elif args.kind == "sensitivity":
-        result = analysis.key_sensitivity_run(args.case, key, delta=args.delta,
+        result = analysis.key_sensitivity_run(f"vary_{args.vary}", key, delta=args.delta,
                                               sequences=args.sequences,
                                               length=args.length, **burn_in)
         payload = {
@@ -380,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_parse_float, default=analysis.DEFAULT_DELTA,
                    help="perturbation step (decimal or hex float, e.g. 0x1p-48)")
     p.add_argument("--vary", choices=("mu", "x0"), default="mu")
-    p.add_argument("--case", choices=("vary_mu", "vary_x0"), default="vary_mu")
     p.add_argument("--pairs", type=int, default=1000)
     p.add_argument("--sequences", type=int, default=5)
     p.add_argument("--length", type=int, default=1000)

@@ -177,11 +177,24 @@ def rctm_step(x: float, key: MapKey) -> float:
     return t
 
 
+def _branch_log_slopes(values: np.ndarray, key: MapKey) -> np.ndarray:
+    """ln |slope| of the branch taken at each state.
+
+    The mod and the reflection contribute unit-magnitude factors, so the
+    slope magnitude is mu on plain branches and mu / ((mu/2) mod 1) on the
+    scaled branch.  Branch-boundary points count as scaled, matching the
+    step functions' tie rule.
+    """
+    if key.is_ctm:
+        return np.full(values.size, math.log(key.mu))
+    scaled = (values >= key.n1) & (values <= key.n2)
+    return np.where(scaled, math.log(key.mu / key.scale), math.log(key.mu))
+
+
 def log_derivative(x: float, key: MapKey) -> float:
-    """ln |slope| of the branch taken at x: one state through the rule of
-    ``dynamics._branch_log_slopes``, which applies it to whole orbits."""
+    """ln |slope| of the branch taken at x: one state through
+    ``_branch_log_slopes``, which applies the rule to whole orbits."""
     _check_state(x)
-    from .dynamics import _branch_log_slopes  # dynamics imports this module
     return float(_branch_log_slopes(np.array([x]), key)[0])
 
 

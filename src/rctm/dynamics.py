@@ -9,12 +9,13 @@ equal-width cells of [0, 1] an orbit visits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import MU_MAX, MU_MIN, MapKey, ctm_key, iterate, iterate_batch, make_key
+from .core import (MU_MAX, MU_MIN, MapKey, _branch_log_slopes, ctm_key, iterate,
+                   iterate_batch, make_key)
 
 DEFAULT_SETTLE = 1000
 DEFAULT_KEEP = 200
@@ -43,12 +44,7 @@ class BifurcationResult:
     skipped_mu: list[float]
     settle: int
     keep: int
-    x0: float = field(default=0.0)
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        mus = np.array([p.mu for p in self.points])
-        xs = np.array([p.x for p in self.points])
-        return mus, xs
+    x0: float
 
 
 def _grid_key(mu: float, x0: float) -> MapKey | None:
@@ -97,20 +93,6 @@ def bifurcation_sample(mu_grid: Sequence[float], x0: float,
             points.extend(BifurcationPoint(mu=mu, x=float(x)) for x in states[row])
     return BifurcationResult(points=points, skipped_mu=skipped,
                              settle=settle, keep=keep, x0=x0)
-
-
-def _branch_log_slopes(values: np.ndarray, key: MapKey) -> np.ndarray:
-    """ln |slope| of the branch taken at each state.
-
-    The mod and the reflection contribute unit-magnitude factors, so the
-    slope magnitude is mu on plain branches and mu / ((mu/2) mod 1) on the
-    scaled branch.  Branch-boundary points count as scaled, matching the
-    step functions' tie rule.
-    """
-    if key.is_ctm:
-        return np.full(values.size, math.log(key.mu))
-    scaled = (values >= key.n1) & (values <= key.n2)
-    return np.where(scaled, math.log(key.mu / key.scale), math.log(key.mu))
 
 
 def lyapunov(key: MapKey, n: int, burn_in: int = 100) -> LyapunovEstimate:

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MapKey, Trajectory, _check_counts, orbit_chunks
+from .core import MapKey, _check_counts, orbit_chunks
 
 THRESHOLD = 0.5
 DEGENERATE_TAIL = 100
@@ -98,12 +98,6 @@ def quantize_values(values: np.ndarray) -> np.ndarray:
     """8-bit quantization floor(x * 256) with 1.0 clamped to 255."""
     v = np.floor(np.asarray(values, dtype=np.float64) * 256.0)
     return np.minimum(v, 255.0).astype(np.uint8)
-
-
-def quantize_bytes(traj: Trajectory | np.ndarray) -> np.ndarray:
-    """Quantize a trajectory's samples to one byte each."""
-    values = traj.values if isinstance(traj, Trajectory) else traj
-    return quantize_values(values)
 
 
 def generate_quantized(key: MapKey, n: int, burn_in: int = 0) -> np.ndarray:

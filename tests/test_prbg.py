@@ -7,7 +7,6 @@ from rctm.prbg import (
     generate_quantized,
     orbit_stream,
     pack_bytes,
-    quantize_bytes,
     quantize_values,
     segmented_streams,
     unpack_bits,
@@ -125,10 +124,6 @@ class TestQuantize:
         xs = np.sort(rng.uniform(0.0, 1.0, size=4000))
         q = quantize_values(xs).astype(np.int64)
         assert np.all(np.diff(q) >= 0)
-
-    def test_quantize_bytes_takes_trajectory(self):
-        traj = iterate(make_key(61.81, 0.23), 50)
-        assert np.array_equal(quantize_bytes(traj), quantize_values(traj.values))
 
     def test_generate_quantized_matches_trajectory(self):
         key = make_key(61.81, 0.23)
