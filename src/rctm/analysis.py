@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MU_MAX, MU_MIN, MapKey, Trajectory, iterate, iterate_batch, make_key
+from .core import MU_MAX, MU_MIN, MapKey, Trajectory, iterate_batch, make_key
 from .ent import byte_entropy, histogram_uniformity  # noqa: F401  (re-exported)
 from .prbg import quantize_values
 
@@ -67,15 +67,16 @@ class SweepResult:
 
 @dataclass(frozen=True, eq=False)
 class KeySensitivityResult:
-    """Perturbed trajectories with their pairwise correlation matrix."""
+    """Orbits of the perturbed keys with their pairwise correlation matrix."""
 
-    case: str
+    vary: str
     base_key: MapKey
     delta: float
     burn_in: int
-    trajectories: tuple[Trajectory, ...]
+    keys: tuple[MapKey, ...]
+    states: np.ndarray  # row i is the orbit of keys[i]
     pairwise_correlations: np.ndarray
-    preview: np.ndarray  # first samples of each trajectory, for plotting
+    preview: np.ndarray  # view of the first samples of each row, for plotting
     offsets: tuple[int, ...] = ()
     skipped_offsets: tuple[int, ...] = ()
 
@@ -140,11 +141,15 @@ def _key_at(base: MapKey, vary: str, value: float) -> MapKey:
     return make_key(value, base.x0) if vary == "mu" else make_key(base.mu, value)
 
 
+def _check_vary(vary: str) -> None:
+    if vary not in ("mu", "x0"):
+        raise ValueError(f"vary must be 'mu' or 'x0', got {vary!r}")
+
+
 def _perturbed_keys(base: MapKey, vary: str, delta: float,
                     count: int) -> tuple[list[MapKey], list[int]]:
     """Keys at base + k*delta for k = 1, 2, ...; no-op roundings skipped."""
-    if vary not in ("mu", "x0"):
-        raise ValueError(f"vary must be 'mu' or 'x0', got {vary!r}")
+    _check_vary(vary)
     if not math.isfinite(delta) or delta == 0.0:
         raise ValueError("delta must be finite and non-zero")
     base_value = getattr(base, vary)
@@ -177,8 +182,8 @@ def correlation_sweep(base: MapKey, delta: float, pairs: int, length: int,
     if length < 2:
         raise ValueError(f"length must be >= 2, got {length}")
     keys, skipped = _perturbed_keys(base, vary, delta, pairs)
-    base_values = iterate(base, length, burn_in).values
-    pert = iterate_batch(keys, length, burn_in)
+    states = iterate_batch([base, *keys], length, burn_in)
+    base_values, pert = states[0], states[1:]
     correlations = np.array([pearson_correlation(base_values, pert[i])
                              for i in range(pairs)])
     diffs = np.abs(pert - base_values)
@@ -191,27 +196,25 @@ def correlation_sweep(base: MapKey, delta: float, pairs: int, length: int,
                        skipped_offsets=tuple(skipped))
 
 
-def key_sensitivity_run(case: str, base: MapKey, delta: float = DEFAULT_DELTA,
+def key_sensitivity_run(base: MapKey, vary: str = "mu", delta: float = DEFAULT_DELTA,
                         sequences: int = 5, length: int = 3000,
                         burn_in: int = 0) -> KeySensitivityResult:
-    """Trajectories at base + k*delta (k = 0..sequences-1) on one parameter.
+    """Orbits at base + k*delta (k = 0..sequences-1) on one parameter.
 
-    ``case`` selects the perturbed parameter: ``vary_mu`` or ``vary_x0``.
-    Returns the trajectories, their pairwise correlation matrix and the first
-    30 samples of each, from x0 by default as in the paper's preview.  delta
-    = 0 is allowed and yields identical trajectories with unit correlations.
+    ``vary`` selects the perturbed parameter: ``mu`` or ``x0``.  Returns the
+    keys, their orbits (one row each, from x0 by default as in the paper's
+    preview) and the pairwise correlation matrix.  delta = 0 is allowed and
+    yields identical orbits with unit correlations.
 
     A non-zero delta must produce `sequences` bitwise-distinct keys;
     offsets whose perturbed value rounds onto an already-used key are
     skipped (reported in the result) and further offsets are drawn.
     """
-    if case not in ("vary_mu", "vary_x0"):
-        raise ValueError(f"case must be 'vary_mu' or 'vary_x0', got {case!r}")
+    _check_vary(vary)
     if sequences < 2:
         raise ValueError(f"sequences must be >= 2, got {sequences}")
     if not math.isfinite(delta):
         raise ValueError("delta must be finite")
-    vary = "mu" if case == "vary_mu" else "x0"
     base_value = getattr(base, vary)
     keys = [_key_at(base, vary, base_value)]
     offsets = [0]
@@ -220,7 +223,6 @@ def key_sensitivity_run(case: str, base: MapKey, delta: float = DEFAULT_DELTA,
         keys = keys * sequences
         offsets = [0] * sequences
     else:
-        seen = {base_value}
         k = 0
         limit = 50 * sequences + 100
         while len(keys) < sequences:
@@ -229,25 +231,22 @@ def key_sensitivity_run(case: str, base: MapKey, delta: float = DEFAULT_DELTA,
                 raise ValueError(f"delta {delta!r} cannot produce {sequences} "
                                  f"distinct values of {vary}")
             value = base_value + k * delta
-            if value in seen:
+            # base + k*delta is monotone in k: a used value can only be the last one
+            if value == getattr(keys[-1], vary):
                 skipped.append(k)
                 continue
-            seen.add(value)
             keys.append(_key_at(base, vary, value))
             offsets.append(k)
     states = iterate_batch(keys, length, burn_in)
-    trajectories = tuple(Trajectory(values=states[i].copy(), key=keys[i], burn_in=burn_in)
-                         for i in range(sequences))
     r = np.eye(sequences)
     for i in range(sequences):
         for j in range(i + 1, sequences):
             r[i, j] = r[j, i] = pearson_correlation(states[i], states[j])
-    preview = states[:, :SENSITIVITY_PREVIEW].copy()
-    return KeySensitivityResult(case=case, base_key=base, delta=delta,
-                                burn_in=burn_in, trajectories=trajectories,
-                                pairwise_correlations=r, preview=preview,
-                                offsets=tuple(offsets),
-                                skipped_offsets=tuple(skipped))
+    return KeySensitivityResult(vary=vary, base_key=base, delta=delta,
+                                burn_in=burn_in, keys=tuple(keys), states=states,
+                                pairwise_correlations=r,
+                                preview=states[:, :SENSITIVITY_PREVIEW],
+                                offsets=tuple(offsets), skipped_offsets=tuple(skipped))
 
 
 def entropy_sweep(base: MapKey, sequences: int = 100, length: int = 100_000,
@@ -276,6 +275,8 @@ def keyspace_report(precision_exponent: int = -16) -> KeySpaceReport:
     figure halves the space (one bit).  p must lie in [-306, -3], where every
     component counts at least one value and stays finite in binary64.
     """
+    if not float(precision_exponent).is_integer():
+        raise ValueError(f"precision_exponent must be an integer, got {precision_exponent!r}")
     p = int(precision_exponent)
     if not -306 <= p <= -3:
         raise ValueError(f"precision_exponent must lie in [-306, -3], got {p}")

@@ -163,7 +163,7 @@ def cmd_analyze_dynamics(args) -> int:
                                              settle=args.settle, keep=args.keep)
         if result.skipped_mu:
             print(f"skipped unsupported mu values: {result.skipped_mu}", file=sys.stderr)
-        header, rows = ["mu", "x"], [(p.mu, p.x) for p in result.points]
+        header, rows = ["mu", "x"], list(zip(result.mu.tolist(), result.x.tolist()))
         doc = {"what": "bifurcation", "x0": args.x0, "settle": result.settle,
                "keep": result.keep, "skipped_mu": result.skipped_mu,
                "points": [list(row) for row in rows]}
@@ -272,12 +272,12 @@ def cmd_sweep(args) -> int:
                          repr(float(result.uaci_pct[i])), repr(float(result.npcr_pct[i])))
                         for i in range(result.pairs)))
     elif args.kind == "sensitivity":
-        result = analysis.key_sensitivity_run(f"vary_{args.vary}", key, delta=args.delta,
+        result = analysis.key_sensitivity_run(key, vary=args.vary, delta=args.delta,
                                               sequences=args.sequences,
                                               length=args.length, **burn_in)
         payload = {
             "kind": "sensitivity",
-            "case": result.case,
+            "case": f"vary_{result.vary}",
             "base_key": _key_meta(key),
             "delta": result.delta,
             "delta_hex": float(result.delta).hex(),

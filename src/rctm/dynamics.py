@@ -22,12 +22,6 @@ DEFAULT_KEEP = 200
 
 
 @dataclass(frozen=True)
-class BifurcationPoint:
-    mu: float
-    x: float
-
-
-@dataclass(frozen=True)
 class LyapunovEstimate:
     """Time-averaged log branch slope, in nats per iteration."""
 
@@ -36,11 +30,13 @@ class LyapunovEstimate:
     n_samples: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BifurcationResult:
-    """Attractor samples per grid point, plus the sampling parameters."""
+    """Attractor samples ``x[i]`` at ``mu[i]`` in grid order, ``keep`` per
+    supported grid value, plus the sampling parameters."""
 
-    points: list[BifurcationPoint]
+    mu: np.ndarray
+    x: np.ndarray
     skipped_mu: list[float]
     settle: int
     keep: int
@@ -86,13 +82,9 @@ def bifurcation_sample(mu_grid: Sequence[float], x0: float,
         else:
             keys.append(key)
             valid_mu.append(float(mu))
-    points: list[BifurcationPoint] = []
-    if keys:
-        states = iterate_batch(keys, keep, burn_in=settle)
-        for row, mu in enumerate(valid_mu):
-            points.extend(BifurcationPoint(mu=mu, x=float(x)) for x in states[row])
-    return BifurcationResult(points=points, skipped_mu=skipped,
-                             settle=settle, keep=keep, x0=x0)
+    states = iterate_batch(keys, keep, burn_in=settle) if keys else np.empty(0)
+    return BifurcationResult(mu=np.repeat(valid_mu, keep), x=states.ravel(),
+                             skipped_mu=skipped, settle=settle, keep=keep, x0=x0)
 
 
 def lyapunov(key: MapKey, n: int, burn_in: int = 100) -> LyapunovEstimate:

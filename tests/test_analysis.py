@@ -141,50 +141,85 @@ class TestCorrelationSweep:
             correlation_sweep(make_key(61.81, 0.23), 2.0 ** -48,
                               pairs=2, length=50, vary="seed")
 
+    @pytest.mark.parametrize("mu,distinct", [(61.81, 500), (93.23, 250)])
+    def test_measured_reuse_of_perturbed_keys(self, mu, distinct):
+        # measured, not a contract: only offsets that round back onto the base
+        # are skipped, so at criterion 6's delta (half an ulp of mu = 61.81, a
+        # quarter at 93.23) several offsets round onto one key and their pairs
+        # repeat an earlier correlation exactly
+        result = correlation_sweep(make_key(mu, 0.23), 2.0 ** -48,
+                                   pairs=1000, length=1000, vary="mu")
+        assert result.skipped_offsets == (1,)
+        assert len({mu + k * 2.0 ** -48 for k in range(2, 1002)}) == distinct
+        assert np.unique(result.correlations).size == distinct
+
 
 class TestKeySensitivity:
     def test_case_vary_mu(self):
-        result = key_sensitivity_run("vary_mu", make_key(49.13, 0.28),
+        result = key_sensitivity_run(make_key(49.13, 0.28), "mu",
                                      delta=2.0 ** -48, sequences=5, length=3000)
-        assert len(result.trajectories) == 5
+        assert len(result.keys) == 5
+        assert result.states.shape == (5, 3000)
         assert result.pairwise_correlations.shape == (5, 5)
         assert result.preview.shape == (5, 30)
         assert result.max_off_diagonal() <= 0.15
         # half-ulp offsets collapse onto already-used keys and are skipped
-        mus = [t.key.mu for t in result.trajectories]
+        mus = [key.mu for key in result.keys]
         assert len(set(mus)) == 5
         assert result.skipped_offsets != ()
 
     def test_case_vary_x0(self):
-        result = key_sensitivity_run("vary_x0", make_key(49.13, 0.28),
+        result = key_sensitivity_run(make_key(49.13, 0.28), "x0",
                                      delta=2.0 ** -48, sequences=5, length=3000)
         assert result.max_off_diagonal() <= 0.15
 
     def test_burn_in_is_recorded(self):
-        result = key_sensitivity_run("vary_x0", make_key(49.13, 0.28), sequences=2, length=50)
+        result = key_sensitivity_run(make_key(49.13, 0.28), "x0", sequences=2, length=50)
         assert result.burn_in == 0
-        assert all(t.burn_in == 0 for t in result.trajectories)
-        result = key_sensitivity_run("vary_x0", make_key(49.13, 0.28), sequences=2, length=50,
+        assert np.array_equal(result.states[:, 0], [key.x0 for key in result.keys])
+        result = key_sensitivity_run(make_key(49.13, 0.28), "x0", sequences=2, length=50,
                                      burn_in=7)
         assert result.burn_in == 7
-        assert np.array_equal(result.trajectories[0].values,
+        assert np.array_equal(result.states[0],
                               iterate(make_key(49.13, 0.28), 50, burn_in=7).values)
 
     def test_zero_delta_gives_unit_correlations(self):
-        result = key_sensitivity_run("vary_x0", make_key(49.13, 0.28),
+        result = key_sensitivity_run(make_key(49.13, 0.28), "x0",
                                      delta=0.0, sequences=3, length=500)
         assert np.allclose(result.pairwise_correlations, 1.0)
 
     def test_matrix_is_symmetric_with_unit_diagonal(self):
-        result = key_sensitivity_run("vary_x0", make_key(61.81, 0.23),
+        result = key_sensitivity_run(make_key(61.81, 0.23), "x0",
                                      delta=2.0 ** -40, sequences=4, length=800)
         r = result.pairwise_correlations
         assert np.array_equal(r, r.T)
         assert np.array_equal(np.diag(r), np.ones(4))
 
     def test_unknown_case_rejected(self):
-        with pytest.raises(ValueError):
-            key_sensitivity_run("vary_both", make_key(49.13, 0.28))
+        # the old case spelling is not a vary value
+        with pytest.raises(ValueError, match="vary"):
+            key_sensitivity_run(make_key(49.13, 0.28), "vary_mu")
+
+    def test_both_rejected(self):
+        with pytest.raises(ValueError, match="'both'"):
+            key_sensitivity_run(make_key(49.13, 0.28), vary="both")
+
+    @pytest.mark.parametrize("vary", ["mu", "x0"])
+    def test_rows_are_the_orbits_of_their_keys(self, vary):
+        result = key_sensitivity_run(make_key(49.13, 0.28), vary, delta=2.0 ** -50,
+                                     sequences=6, length=300, burn_in=11)
+        assert result.vary == vary
+        assert result.states.shape == (6, 300)
+        for key, row in zip(result.keys, result.states):
+            assert np.array_equal(row, iterate(key, 300, burn_in=11).values)
+        assert np.array_equal(result.preview, result.states[:, :30])
+        assert np.shares_memory(result.preview, result.states)
+
+    def test_vary_x0_keeps_the_base_mu(self):
+        base = make_key(49.13, 0.28)
+        result = key_sensitivity_run(base, vary="x0", delta=2.0 ** -52, sequences=5, length=100)
+        assert [key.mu for key in result.keys] == [base.mu] * 5
+        assert len({key.x0 for key in result.keys}) == 5
 
 
 class TestHistogram:
@@ -276,6 +311,18 @@ class TestKeySpace:
         assert min(report.component_counts.values()) >= 1.0
         assert all(math.isfinite(v) for v in report.component_counts.values())
         assert math.isfinite(report.total_bits) and report.total_bits > 0
+
+    @pytest.mark.parametrize("p", [-16.7, -2.5])
+    def test_non_integral_exponent_rejected(self, p):
+        # named as given, not truncated toward zero
+        with pytest.raises(ValueError, match=f"integer, got {p}$"):
+            keyspace_report(p)
+
+    def test_integral_float_exponent_accepted(self):
+        report = keyspace_report(-16.0)
+        assert report.precision_exponent == -16
+        assert isinstance(report.precision_exponent, int)
+        assert report.total_bits == keyspace_report(-16).total_bits
 
     @pytest.mark.parametrize("p", [-2, -307, -400])
     def test_exponent_outside_the_model_rejected(self, p):
