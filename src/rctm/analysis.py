@@ -120,19 +120,21 @@ def pearson_correlation(x, y) -> float:
     return (L * float(np.dot(a, b)) - sx * sy) / math.sqrt(vx * vy)
 
 
-def differential(t1: Trajectory | np.ndarray, t2: Trajectory | np.ndarray) -> tuple[float, float]:
-    """(UACI %, NPCR %) between two trajectories.
+def differential(t1: Trajectory | np.ndarray, t2: Trajectory | np.ndarray):
+    """(UACI %, NPCR %) of a trajectory, or of each row of a batch, against t2.
 
     UACI is the mean absolute difference of the raw samples in [0, 1],
     scaled to percent; NPCR is the percentage of positions whose 8-bit
-    quantizations differ.
+    quantizations differ.  Both reduce over the last axis: one trajectory
+    gives two float64 scalars, rows of trajectories two arrays.
     """
     a = t1.values if isinstance(t1, Trajectory) else np.asarray(t1, dtype=np.float64)
     b = t2.values if isinstance(t2, Trajectory) else np.asarray(t2, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 1:
-        raise ValueError(f"trajectories must be 1-d, non-empty and equal length, got {a.shape} vs {b.shape}")
-    uaci = 100.0 * float(np.abs(a - b).mean())
-    npcr = 100.0 * float(np.mean(quantize_values(a) != quantize_values(b)))
+    if b.ndim != 1 or b.size < 1 or a.ndim not in (1, 2) or a.shape[-1] != b.size:
+        raise ValueError("t1 must be a trajectory or rows of trajectories as long as the "
+                         f"1-d, non-empty t2, got {a.shape} vs {b.shape}")
+    uaci = 100.0 * np.abs(a - b).mean(axis=-1)
+    npcr = 100.0 * np.mean(quantize_values(a) != quantize_values(b), axis=-1)
     return uaci, npcr
 
 
@@ -169,8 +171,8 @@ def _perturbed_keys(base: MapKey, vary: str, delta: float,
     return keys, skipped
 
 
-def correlation_sweep(base: MapKey, delta: float, pairs: int, length: int,
-                      vary: str = "mu", burn_in: int = 100) -> SweepResult:
+def correlation_sweep(base: MapKey, delta: float = DEFAULT_DELTA, pairs: int = 1000,
+                      length: int = 1000, vary: str = "mu", burn_in: int = 100) -> SweepResult:
     """Correlate the base trajectory against `pairs` perturbed trajectories.
 
     Each pair also gets its UACI/NPCR so one sweep serves both the
@@ -186,10 +188,7 @@ def correlation_sweep(base: MapKey, delta: float, pairs: int, length: int,
     base_values, pert = states[0], states[1:]
     correlations = np.array([pearson_correlation(base_values, pert[i])
                              for i in range(pairs)])
-    diffs = np.abs(pert - base_values)
-    uaci = 100.0 * diffs.mean(axis=1)
-    base_q = quantize_values(base_values)
-    npcr = 100.0 * (quantize_values(pert) != base_q).mean(axis=1)
+    uaci, npcr = differential(pert, base_values)
     return SweepResult(base_key=base, vary=vary, delta=delta, length=length,
                        burn_in=burn_in, correlations=correlations,
                        uaci_pct=uaci, npcr_pct=npcr,

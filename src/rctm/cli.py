@@ -80,11 +80,12 @@ def _key_meta(key: MapKey) -> dict:
     }
 
 
-def _warn_if_degenerate(degenerate: bool) -> bool:
+def _health(degenerate: bool) -> dict:
+    """The stream-health fields of a report; warns on stderr about a degenerate tail."""
     if degenerate:
         print(f"warning: degenerate orbit, last {DEGENERATE_TAIL} samples identical "
               "(stream written anyway)", file=sys.stderr)
-    return degenerate
+    return {"degenerate_tail": degenerate}
 
 
 def _write_bits(path: str, bits: np.ndarray, fmt: str) -> int:
@@ -103,7 +104,7 @@ def _write_bits(path: str, bits: np.ndarray, fmt: str) -> int:
 def cmd_generate(args) -> int:
     key = make_key(args.mu, args.x0)
     stream = generate_bits(key, args.bits, args.burn_in)
-    degenerate = _warn_if_degenerate(stream.degenerate)
+    health = _health(stream.degenerate)
     pad = _write_bits(args.output, stream.bits, args.format)
     if args.meta:
         meta = {
@@ -113,7 +114,7 @@ def cmd_generate(args) -> int:
             "burn_in": args.burn_in,
             "format": args.format,
             "pad_bits": pad,
-            "degenerate_tail": degenerate,
+            **health,
             "kernel": core.KERNEL,
         }
         _write_json(args.output + ".meta.json", meta)
@@ -123,7 +124,6 @@ def cmd_generate(args) -> int:
 def cmd_export(args) -> int:
     key = make_key(args.mu, args.x0)
     segments = segmented_streams(key, args.segments, args.bits, args.burn_in)
-    degenerate = _warn_if_degenerate(segments[0].degenerate)
     ext = "txt" if args.format == "ascii-bits" else "bin"
     files = []
     for i, seg in enumerate(segments):
@@ -138,7 +138,7 @@ def cmd_export(args) -> int:
         "burn_in": args.burn_in,
         "format": args.format,
         "files": files,
-        "degenerate_tail": degenerate,
+        **_health(segments[0].degenerate),
         "kernel": core.KERNEL,
     }
     _write_json(f"{args.output}_manifest.json", manifest)
@@ -193,13 +193,12 @@ def cmd_analyze_dynamics(args) -> int:
 def cmd_test_nist(args) -> int:
     key = make_key(args.mu, args.x0)
     streams = segmented_streams(key, args.streams, args.bits, burn_in=args.burn_in)
-    degenerate = _warn_if_degenerate(streams[0].degenerate)
     report = nist.nist_battery(streams)
     payload = {
         "battery": report.battery,
         "alpha": nist.ALPHA,
         "stream_meta": {**report.stream_meta, "burn_in": args.burn_in,
-                        "degenerate_tail": degenerate},
+                        **_health(streams[0].degenerate)},
         "entries": [asdict(e) for e in report.entries],
         "passed": report.passed,
         "kernel": core.KERNEL,
@@ -227,13 +226,12 @@ def _ent_checks(report) -> dict[str, bool]:
 def cmd_test_ent(args) -> int:
     key = make_key(args.mu, args.x0)
     data, degenerate = orbit_stream(key, args.bytes, args.burn_in, quantize_values)
-    _warn_if_degenerate(degenerate)
     report = ent_battery(data)
     checks = _ent_checks(report)
     payload = {
         "battery": "ent",
         "stream_meta": {**_key_meta(key), "bytes": args.bytes, "burn_in": args.burn_in,
-                        "degenerate_tail": degenerate},
+                        **_health(degenerate)},
         "report": asdict(report),
         "thresholds": _jsonable(ENT_THRESHOLDS),
         "checks": checks,
@@ -250,10 +248,13 @@ def cmd_test_ent(args) -> int:
 
 def cmd_sweep(args) -> int:
     key = make_key(args.mu, args.x0)
-    burn_in = {} if args.burn_in is None else {"burn_in": args.burn_in}
+    # --burn-in and --delta reach the sweep only when given, so its own defaults apply
+    given = {} if args.burn_in is None else {"burn_in": args.burn_in}
+    if args.delta is not None:
+        given["seed_increment" if args.kind == "entropy" else "delta"] = args.delta
     if args.kind in ("correlation", "differential"):
-        result = analysis.correlation_sweep(key, delta=args.delta, pairs=args.pairs,
-                                            length=args.length, vary=args.vary, **burn_in)
+        result = analysis.correlation_sweep(key, pairs=args.pairs, length=args.length,
+                                            vary=args.vary, **given)
         payload = {
             "kind": args.kind,
             "base_key": _key_meta(result.base_key),
@@ -272,9 +273,8 @@ def cmd_sweep(args) -> int:
                          repr(float(result.uaci_pct[i])), repr(float(result.npcr_pct[i])))
                         for i in range(result.pairs)))
     elif args.kind == "sensitivity":
-        result = analysis.key_sensitivity_run(key, vary=args.vary, delta=args.delta,
-                                              sequences=args.sequences,
-                                              length=args.length, **burn_in)
+        result = analysis.key_sensitivity_run(key, vary=args.vary, sequences=args.sequences,
+                                              length=args.length, **given)
         payload = {
             "kind": "sensitivity",
             "case": f"vary_{result.vary}",
@@ -292,8 +292,7 @@ def cmd_sweep(args) -> int:
         }
     else:
         result = analysis.entropy_sweep(key, sequences=args.sequences,
-                                        length=args.length,
-                                        seed_increment=args.seed_increment, **burn_in)
+                                        length=args.length, **given)
         payload = {
             "kind": "entropy",
             "base_key": _key_meta(key),
@@ -379,8 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("correlation", "differential", "sensitivity", "entropy"),
                    required=True)
     _add_key_args(p)
-    p.add_argument("--delta", type=_parse_float, default=analysis.DEFAULT_DELTA,
-                   help="perturbation step (decimal or hex float, e.g. 0x1p-48)")
+    p.add_argument("--delta", type=_parse_float,
+                   help="step between successive keys, in x0 for entropy (decimal or hex "
+                        "float, e.g. 0x1p-48; default: the sweep function's own; see README)")
     p.add_argument("--vary", choices=("mu", "x0"), default="mu")
     p.add_argument("--pairs", type=int, default=1000)
     p.add_argument("--sequences", type=int, default=5)
@@ -388,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", type=int,
                    help="samples skipped before each orbit (default: the sweep "
                         "function's own; see README)")
-    p.add_argument("--seed-increment", type=_parse_float, default=2.0 ** -20)
     p.add_argument("--pairs-csv", help="also write per-pair metrics as CSV")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_sweep)

@@ -316,18 +316,16 @@ def iterate(key: MapKey, n: int, burn_in: int = 0) -> Trajectory:
     """Generate n orbit samples after discarding burn_in iterates.
 
     Pure function of (key, n, burn_in); repeated calls are bit-identical.
+    The values are row 0 of ``iterate_batch([key], n, burn_in)``.
     """
-    _check_counts(n, burn_in)
-    out = np.empty(n)
-    _orbit([key], np.array([key.x0]), burn_in, out)
-    return Trajectory(values=out, key=key, burn_in=burn_in)
+    return Trajectory(values=iterate_batch([key], n, burn_in)[0], key=key, burn_in=burn_in)
 
 
 def iterate_batch(keys: Sequence[MapKey], n: int, burn_in: int = 0) -> np.ndarray:
     """Orbits of several keys, one row per key.
 
-    One call of the orbit loop runs every key, four rows in lockstep; row i
-    is bit-identical to ``iterate(keys[i], n, burn_in).values``.
+    One call of the orbit loop runs every key, four rows in lockstep; the
+    rows share nothing, so row i is bit-identical to a batch of keys[i] alone.
     """
     _check_counts(n, burn_in)
     if not keys:

@@ -70,15 +70,11 @@ class ProportionLine:
 
 @dataclass(frozen=True)
 class TestReport:
-    """Named results of one battery run.
-
-    ``entries`` holds TestOutcome rows for a single stream or
-    ProportionLine rows for a multi-stream battery.
-    """
+    """Named results of one battery run: one ProportionLine per test entry."""
 
     battery: str
     stream_meta: dict
-    entries: tuple
+    entries: tuple[ProportionLine, ...]
     passed: bool
 
 
@@ -293,35 +289,16 @@ def dft(bits) -> tuple[float, float]:
     return d, float(erfc(abs(d) / math.sqrt(2.0)))
 
 
-def nist_test(name: str, bits, **params) -> tuple[float, float]:
-    """Run one subset test by name; ``serial`` reports its first p-value."""
-    if name not in TEST_NAMES:
-        raise ValueError(f"unknown test {name!r}; expected one of {', '.join(TEST_NAMES)}")
-    # looked up when called, not kept in a table, so wrappers set on the module see every call
-    result = globals()[name](bits, **params)
-    return result[0] if name == "serial" else result
-
-
 def stream_outcomes(bits) -> list[TestOutcome]:
     """All subset tests on one stream, serial's second p-value as its own row."""
     b = _as_bits(bits)
     if b.size < SUBSET_MIN_BITS:
         raise ValueError(f"the NIST subset needs at least {SUBSET_MIN_BITS} bits, got {b.size}")
-    results = [globals()[name](b) for name in TEST_NAMES]  # looked up when called, as in nist_test
+    # looked up when called, not kept in a table, so wrappers set on the module see every call
+    results = [globals()[name](b) for name in TEST_NAMES]
     results[7:8] = results[7]  # serial's two results are the serial and serial_2 rows
     return [TestOutcome(entry, stat, p, p >= ALPHA)
             for entry, (stat, p) in zip(ENTRY_NAMES, results)]
-
-
-def stream_report(bits) -> TestReport:
-    """Single-stream report; passes when every entry clears ALPHA."""
-    b = _as_bits(bits)
-    entries = tuple(stream_outcomes(b))
-    stream_meta = {"length": int(b.size)}
-    if isinstance(bits, BitStream):
-        stream_meta["key_fingerprint"] = bits.key_fingerprint
-    return TestReport(battery="nist-subset", stream_meta=stream_meta,
-                      entries=entries, passed=all(e.passed for e in entries))
 
 
 def min_proportion(streams: int) -> float:

@@ -12,7 +12,8 @@ from rctm.analysis import (
     keyspace_report,
     pearson_correlation,
 )
-from rctm.core import InvalidKeyError, iterate, make_key
+from rctm.analysis import _perturbed_keys
+from rctm.core import InvalidKeyError, iterate, iterate_batch, make_key
 from rctm.ent import ent_battery
 from rctm.prbg import generate_quantized, quantize_values
 
@@ -98,6 +99,33 @@ class TestDifferential:
         with pytest.raises(ValueError):
             differential(np.ones(3), np.ones(4))
 
+    def test_one_trajectory_gives_float_scalars(self):
+        uaci, npcr = differential(np.array([0.1, 0.9]), np.array([0.2, 0.9]))
+        assert type(uaci) is np.float64 and type(npcr) is np.float64
+        assert isinstance(uaci, float) and isinstance(npcr, float)
+
+    def test_rows_equal_one_row_calls(self):
+        keys = [make_key(61.81 + k * 2.0 ** -40, 0.23) for k in range(7)]
+        rows = iterate_batch(keys, 1001, burn_in=100)
+        t2 = iterate(make_key(61.81, 0.23), 1001, burn_in=100)
+        uaci, npcr = differential(rows, t2)
+        assert uaci.shape == npcr.shape == (7,)
+        for i in range(7):
+            u, c = differential(rows[i], t2)
+            assert (float(uaci[i]).hex(), float(npcr[i]).hex()) == (float(u).hex(), float(c).hex())
+
+    @pytest.mark.parametrize("t1,t2", [
+        (np.ones(4), np.ones((1, 4))),            # t2 must be one trajectory
+        (np.ones((3, 4)), np.ones((3, 4))),
+        (np.ones((3, 5)), np.ones(4)),            # rows of another length
+        (np.ones((3, 0)), np.ones(0)),            # empty
+        (np.ones((2, 3, 4)), np.ones(4)),         # rows, not a stack of batches
+        (np.float64(0.5), np.ones(1)),
+    ])
+    def test_batch_shapes_rejected(self, t1, t2):
+        with pytest.raises(ValueError, match="rows of trajectories"):
+            differential(t1, t2)
+
 
 class TestCorrelationSweep:
     def test_zero_delta_rejected(self):
@@ -140,6 +168,18 @@ class TestCorrelationSweep:
         with pytest.raises(ValueError):
             correlation_sweep(make_key(61.81, 0.23), 2.0 ** -48,
                               pairs=2, length=50, vary="seed")
+
+    @pytest.mark.parametrize("burn_in", [0, 100])
+    @pytest.mark.parametrize("vary", ["mu", "x0"])
+    def test_uaci_npcr_are_per_pair_differential(self, vary, burn_in):
+        base = make_key(61.81, 0.23)
+        result = correlation_sweep(base, 2.0 ** -48, pairs=30, length=777,
+                                   vary=vary, burn_in=burn_in)
+        keys, _ = _perturbed_keys(base, vary, 2.0 ** -48, 30)
+        base_t = iterate(base, 777, burn_in)
+        for i, key in enumerate(keys):
+            u, c = differential(iterate(key, 777, burn_in), base_t)
+            assert result.uaci_pct[i] == u and result.npcr_pct[i] == c
 
     @pytest.mark.parametrize("mu,distinct", [(61.81, 500), (93.23, 250)])
     def test_measured_reuse_of_perturbed_keys(self, mu, distinct):

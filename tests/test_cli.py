@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -281,6 +282,22 @@ class TestSweepCommand:
         data = json.loads(out.read_text())
         assert data["mean_entropy"] >= 7.9
         assert len(data["entropies"]) == 10
+
+    def test_entropy_delta_is_the_seed_increment(self, tmp_path):
+        # pinned from `--seed-increment 0x1p-10`, the option --delta replaced
+        out = tmp_path / "entropy.json"
+        assert run(["sweep", "--kind", "entropy", "--mu", 61.81, "--x0", 0.23,
+                    "--sequences", 10, "--length", 10000, "--delta", "0x1p-10", "-o", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "9a4d673c466ab9065dbdd5c723157c37cd9312bc5f47dc4fa3f16d58c28d6f00")
+        assert json.loads(out.read_text())["seed_increment"] == 2.0 ** -10
+
+    def test_seed_increment_option_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--kind", "entropy", "--seed-increment", "0x1p-10",
+                 "--mu", 61.81, "--x0", 0.23, "-o", tmp_path / "entropy.json"])
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("kind,args", [
         ("sensitivity", ["--vary", "x0", "--sequences", 3, "--length", 200]),

@@ -207,6 +207,17 @@ class TestIterate:
             iterate(key, 10, burn_in=-1)
 
 
+    @pytest.mark.parametrize("burn_in", [0, 100])
+    @pytest.mark.parametrize("key", [make_key(61.81, 0.23), ctm_key(1.7, 0.3)])
+    def test_values_are_row_0_of_a_one_key_batch(self, kernel, key, burn_in):
+        traj = iterate(key, 500, burn_in)
+        assert traj.values.shape == (500,)
+        assert np.array_equal(traj.values, iterate_batch([key], 500, burn_in)[0])
+        assert not traj.values.flags.writeable
+        with pytest.raises(ValueError):
+            traj.values[0] = 0.5
+
+
 class TestBranchAgreement:
     @pytest.mark.parametrize("mu", [0.7, 1.2, 1.9, 2.0])
     def test_tent_arm_equals_ctm_step(self, mu):
