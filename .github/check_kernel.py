@@ -1,9 +1,9 @@
 """Fail unless the compiled orbit kernel is active in the installed layout.
 
-A silent fallback to the Python orbit loop would pass every test while
-running about 20x slower.  Run it on the package as built by setuptools'
-``build_py``, from outside the checkout, so that it also fails when
-``_orbit.c`` is missing from the package data:
+A silent fallback to the chained Python reference step would pass every
+test while running about 30-70x slower.  Run it on the package as built
+by setuptools' ``build_py``, from outside the checkout, so that it also
+fails when ``_orbit.c`` is missing from the package data:
 
     python -c "from setuptools import setup; setup()" -q build_py -d "$PKG"
     cd "$SOMEWHERE_ELSE" && PYTHONPATH="$PKG" python /path/to/check_kernel.py

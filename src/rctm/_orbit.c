@@ -1,8 +1,9 @@
 /* Orbit loop of the robust chaotic tent map, loaded by rctm.core with ctypes.
  *
- * Bit-identical to the Python reference step (core.rctm_step / ctm_step):
- * build with -O2 -ffp-contract=off and never with -ffast-math, so every
- * product, difference and quotient rounds once in IEEE-754 binary64.
+ * Bit-identical to chaining the Python reference step (core.rctm_step),
+ * which is also the fallback when this file cannot be built: build with
+ * -O2 -ffp-contract=off and never with -ffast-math, so every product,
+ * difference and quotient rounds once in IEEE-754 binary64.
  *
  * Three statements differ in form from the reference, to keep branches
  * taken at random on a chaotic orbit, and floor's range check, off the chain

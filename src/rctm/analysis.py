@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MU_MAX, MU_MIN, MapKey, Trajectory, iterate_batch, make_key
-from .ent import byte_entropy, histogram_uniformity  # noqa: F401  (re-exported)
+from .ent import byte_entropy
 from .prbg import quantize_values
 
 DEFAULT_DELTA = 2.0 ** -48

@@ -144,22 +144,12 @@ def _check_state(x: float) -> None:
         raise ValueError(f"state must lie in [0, 1], got {x!r}")
 
 
-def ctm_step(x: float, mu: float) -> float:
-    """One classical tent map step: mu*x below 1/2, mu*(1-x) at or above."""
-    _check_state(x)
-    if not math.isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu!r}")
-    if not 0.0 <= mu <= 2.0:
-        raise ValueError(f"tent-map mu must lie in [0, 2], got {mu!r}")
-    return mu * x if x < 0.5 else mu * (1.0 - x)
-
-
 def rctm_step(x: float, key: MapKey) -> float:
-    """One robust tent map step for a mu > 2 key.
+    """One map step: the tent step mu*x below 1/2, mu*(1-x) at or above.
 
-    Points in [n1, n2] (boundaries inclusive) take the scaled branch
-    (mu*x mod 1) / ((mu/2) mod 1); outside, the plain (mu*x mod 1), with
-    the mirrored mu*(1-x) numerator for x >= 1/2.
+    A tent-arm key (``ctm_key``, mu <= 2) stops there.  For mu > 2 the step
+    is taken mod 1, and points in [n1, n2] (boundaries inclusive) take the
+    scaled branch (mu*x mod 1) / ((mu/2) mod 1).
 
     On the scaled branch the numerator cannot exceed (mu/2) mod 1 in exact
     arithmetic; a state within an ulp of a region bound can make mu*x round
@@ -167,9 +157,9 @@ def rctm_step(x: float, key: MapKey) -> float:
     numerators are folded to 0, keeping every output in [0, 1].
     """
     _check_state(x)
-    if key.is_ctm:
-        raise ValueError("rctm_step needs mu > 2; use ctm_step for the tent arm")
     t = key.mu * x if x < 0.5 else key.mu * (1.0 - x)
+    if key.is_ctm:
+        return t
     t -= math.floor(t)
     if key.n1 <= x <= key.n2:
         s = key.scale
@@ -183,7 +173,7 @@ def _branch_log_slopes(values: np.ndarray, key: MapKey) -> np.ndarray:
     The mod and the reflection contribute unit-magnitude factors, so the
     slope magnitude is mu on plain branches and mu / ((mu/2) mod 1) on the
     scaled branch.  Branch-boundary points count as scaled, matching the
-    step functions' tie rule.
+    step's tie rule.
     """
     if key.is_ctm:
         return np.full(values.size, math.log(key.mu))
@@ -247,36 +237,27 @@ def _kernel():
     return fn
 
 
-def _orbit_py(rows, keys, x, skip, n, out):
-    """Pure-Python form of ``rctm_orbit`` in ``_orbit.c``, for when it cannot be built.
-
-    It runs the rows one after another and computes the same states through
-    the reference step's branch and floor, where the C loop takes
-    min(x, 1 - x) and truncates; in Python those forms are slower.
-    """
-    out = out.reshape(rows, n)
-    for r, (mu, n1, n2, s, tent) in enumerate(keys.tolist()):
-        row, xr = out[r], float(x[r])
-        for i in range(-skip, n):
-            if i >= 0:
-                row[i] = xr
-            t = mu * xr if xr < 0.5 else mu * (1.0 - xr)
-            if not tent:
-                t -= math.floor(t)
-                if n1 <= xr <= n2:
-                    t = 0.0 if t > s else t / s
-            xr = t
-        x[r] = xr
-
-
 def _orbit(keys: Sequence[MapKey], x: np.ndarray, skip: int, out: np.ndarray) -> None:
     """Fill row i of ``out`` with the orbit of keys[i] from state x[i] after
     skip discarded iterates; x[i] becomes the state that follows the row."""
     rows, n = len(keys), out.shape[-1]
     if x.shape != (rows,) or out.size != rows * n:
         raise ValueError(f"{rows} keys need {rows} states and {rows} output rows")
-    params = np.array([(k.mu, k.n1, k.n2, k.scale, k.is_ctm) for k in keys])
-    (_kernel() or _orbit_py)(rows, params, x, skip, n, out)
+    kernel = _kernel()
+    if kernel is not None:
+        params = np.array([(k.mu, k.n1, k.n2, k.scale, k.is_ctm) for k in keys])
+        kernel(rows, params, x, skip, n, out)
+        return
+    # no compiled loop: chain the reference step, one row after another
+    out = out.reshape(rows, n)
+    for r, key in enumerate(keys):
+        xr, row = float(x[r]), []
+        for _ in range(skip):
+            xr = rctm_step(xr, key)
+        for _ in range(n):
+            row.append(xr)
+            xr = rctm_step(xr, key)
+        out[r], x[r] = row, xr
 
 
 class _CoreModule(types.ModuleType):

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erfc, gammaincc, ndtr
 
-from .prbg import BitStream
+from .prbg import BitStream, _as_bits
 
 ALPHA = 0.01
 
@@ -76,15 +76,6 @@ class TestReport:
     stream_meta: dict
     entries: tuple[ProportionLine, ...]
     passed: bool
-
-
-def _as_bits(bits: BitStream | np.ndarray) -> np.ndarray:
-    arr = bits.bits if isinstance(bits, BitStream) else np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError("bit input must be one-dimensional")
-    if arr.size and arr.max() > 1:
-        raise ValueError(f"bit input must hold only 0 and 1, got {int(arr.max())}")
-    return arr
 
 
 def _require(name: str, bits) -> np.ndarray:
@@ -303,6 +294,8 @@ def stream_outcomes(bits) -> list[TestOutcome]:
 
 def min_proportion(streams: int) -> float:
     """Smallest acceptable pass proportion: p - 3 sqrt(p (1-p) / m), p = 1 - ALPHA."""
+    if streams < 1:
+        raise ValueError(f"streams must be >= 1, got {streams}")
     p_hat = 1.0 - ALPHA
     return p_hat - 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / streams)
 

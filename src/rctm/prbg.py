@@ -33,6 +33,16 @@ class BitStream:
         return self.bits.size
 
 
+def _as_bits(bits: BitStream | np.ndarray) -> np.ndarray:
+    """The bits of a BitStream or a 0/1 array, as a 1-D array."""
+    arr = bits.bits if isinstance(bits, BitStream) else np.asarray(bits, dtype=np.uint8)
+    if arr.ndim != 1:
+        raise ValueError("bit input must be one-dimensional")
+    if arr.size and arr.max() > 1:
+        raise ValueError(f"bit input must hold only 0 and 1, got {int(arr.max())}")
+    return arr
+
+
 def orbit_stream(key: MapKey, n: int, burn_in: int,
                  convert: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, bool]:
     """n orbit samples, each mapped to a uint8 by ``convert``, streamed so long
@@ -83,7 +93,7 @@ def pack_bytes(bits: BitStream | np.ndarray) -> tuple[bytes, int]:
     (payload, pad_bits) where pad_bits zero bits were appended to fill the
     final byte; lengths divisible by 8 pad nothing.
     """
-    arr = bits.bits if isinstance(bits, BitStream) else np.asarray(bits, dtype=np.uint8)
+    arr = _as_bits(bits)
     pad = (-arr.size) % 8
     return np.packbits(arr).tobytes(), pad
 
@@ -91,7 +101,11 @@ def pack_bytes(bits: BitStream | np.ndarray) -> tuple[bytes, int]:
 def unpack_bits(data: bytes, n_bits: int | None = None) -> np.ndarray:
     """Inverse of :func:`pack_bytes`; n_bits trims the zero padding."""
     arr = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    return arr if n_bits is None else arr[:n_bits]
+    if n_bits is None:
+        return arr
+    if not 0 <= n_bits <= arr.size:
+        raise ValueError(f"n_bits must lie in [0, {arr.size}], got {n_bits}")
+    return arr[:n_bits]
 
 
 def quantize_values(values: np.ndarray) -> np.ndarray:

@@ -14,13 +14,12 @@ import pytest
 from rctm.analysis import (
     correlation_sweep,
     entropy_sweep,
-    histogram_uniformity,
     keyspace_report,
     pearson_correlation,
 )
 from rctm.core import iterate, make_key, rctm_step
 from rctm.dynamics import ctm_key, lyapunov, lyapunov_grid, phase_coverage
-from rctm.ent import ent_battery
+from rctm.ent import ent_battery, histogram_uniformity
 from rctm.nist import ENTRY_NAMES, monobit, nist_battery
 from rctm.prbg import (
     generate_bits,

@@ -7,14 +7,13 @@ from rctm.analysis import (
     correlation_sweep,
     differential,
     entropy_sweep,
-    histogram_uniformity,
     key_sensitivity_run,
     keyspace_report,
     pearson_correlation,
 )
 from rctm.analysis import _perturbed_keys
 from rctm.core import InvalidKeyError, iterate, iterate_batch, make_key
-from rctm.ent import ent_battery
+from rctm.ent import ent_battery, histogram_uniformity
 from rctm.prbg import generate_quantized, quantize_values
 
 

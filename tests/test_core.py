@@ -16,7 +16,6 @@ from rctm.core import (
     InvalidKeyError,
     MapKey,
     ctm_key,
-    ctm_step,
     iterate,
     iterate_batch,
     log_derivative,
@@ -98,22 +97,24 @@ class TestCtmKey:
 
 
 class TestCtmStep:
+    """rctm_step on a tent-arm key takes the classical tent map step."""
+
     def test_below_half(self):
-        assert ctm_step(0.25, 2.0) == 0.5
+        assert rctm_step(0.25, ctm_key(2.0, 0.3)) == 0.5
 
     def test_at_half_takes_upper_branch(self):
-        assert ctm_step(0.5, 2.0) == 1.0
+        assert rctm_step(0.5, ctm_key(2.0, 0.3)) == 1.0
 
     def test_upper_branch(self):
-        assert ctm_step(0.75, 1.5) == 0.375
+        assert rctm_step(0.75, ctm_key(1.5, 0.3)) == 0.375
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            ctm_step(float("nan"), 2.0)
+            rctm_step(float("nan"), ctm_key(2.0, 0.3))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            ctm_step(1.5, 2.0)
+            rctm_step(1.5, ctm_key(2.0, 0.3))
 
 
 class TestRctmStep:
@@ -147,9 +148,12 @@ class TestRctmStep:
                 v = rctm_step(x, key)
                 assert 0.0 <= v <= 1e-9
 
-    def test_rejects_ctm_key(self):
-        with pytest.raises(ValueError):
-            rctm_step(0.3, ctm_key(1.5, 0.3))
+    def test_tent_key_takes_no_mod_and_no_scaled_branch(self):
+        # at mu = 1.5 the region [n1, n2] is all of [0, 1] and the scale is 0.75
+        key = ctm_key(1.5, 0.3)
+        assert key.n1 <= 0.8 <= key.n2
+        assert rctm_step(0.8, key) == 1.5 * (1.0 - 0.8)
+        assert rctm_step(0.5, ctm_key(2.0, 0.3)) == 1.0  # a mod would give 0
 
     def test_range_closure_random_points(self):
         rng = np.random.default_rng(17)
@@ -221,12 +225,13 @@ class TestIterate:
 class TestBranchAgreement:
     @pytest.mark.parametrize("mu", [0.7, 1.2, 1.9, 2.0])
     def test_tent_arm_equals_ctm_step(self, mu):
+        """A tent-arm orbit chains rctm_step's classical tent map step."""
         key = ctm_key(mu, 0.37)
         traj = iterate(key, 500)
         x = key.x0
         for v in traj.values:
             assert v == x
-            x = ctm_step(x, mu)
+            x = rctm_step(x, key)
 
 
 class TestIterateBatch:
@@ -281,18 +286,13 @@ class TestTrajectoryType:
         assert isinstance(key, MapKey)
 
 
-def _reference_step(key):
-    return (lambda v: ctm_step(v, key.mu)) if key.is_ctm else (lambda v: rctm_step(v, key))
-
-
 def _reference_orbit(key, n):
     """Chained reference steps: the oracle every orbit path must match."""
-    step = _reference_step(key)
     x = key.x0
     out = []
     for _ in range(n):
         out.append(x)
-        x = step(x)
+        x = rctm_step(x, key)
     return np.array(out)
 
 
@@ -331,7 +331,6 @@ class TestKernel:
         ] + [ctm_key(mu, 0.3) for mu in (2.0, float(np.nextafter(2.0, 0.0)), 1.7, 1.0, 0.9)]
         on_integer = 0
         for key in keys:
-            step = _reference_step(key)
             states = {0.0, 1.0, *near(0.5), *near(key.n1), *near(key.n2)}
             # mu*x and mu*(1-x) on each integer up to mu/2 and one ulp under it
             for k in range(1, int(key.mu / 2) + 1):
@@ -348,7 +347,7 @@ class TestKernel:
             core._orbit([key] * len(xs), got, 0, out)
             assert out[:, 0].tolist() == xs
             for x, y in zip(xs, got.tolist()):
-                assert y.hex() == step(x).hex(), (key.mu, x.hex())
+                assert y.hex() == rctm_step(x, key).hex(), (key.mu, x.hex())
         assert on_integer > 500
 
     @pytest.mark.parametrize("burn_in", [0, 1, 1000])
@@ -381,6 +380,18 @@ class TestKernel:
         assert core.KERNEL == kernel
         with pytest.raises(AttributeError):
             core.KERNEL = "c"
+
+    def test_missing_compiler_falls_back_to_the_chained_reference_step(self, tmp_path,
+                                                                      monkeypatch):
+        core._kernel.cache_clear()
+        monkeypatch.setattr(core, "_CC", (str(tmp_path / "no-such-cc"), "-o"))
+        try:
+            assert core.KERNEL == "python"
+            key = make_key(61.81, 0.23)
+            assert np.array_equal(iterate(key, 500, burn_in=10).values,
+                                  _reference_orbit(key, 510)[10:])
+        finally:
+            core._kernel.cache_clear()
 
     def test_failed_build_leaves_no_partial_library(self, monkeypatch):
         cache = core._SOURCE.parent / "__pycache__" / "rctm_orbit"

@@ -17,8 +17,8 @@ import json
 import numpy as np
 
 from rctm import cli, nist
-from rctm.analysis import histogram_uniformity
 from rctm.core import ctm_key, iterate, iterate_batch, make_key
+from rctm.ent import histogram_uniformity
 from rctm.prbg import generate_bits, generate_quantized, segmented_streams
 
 ORBIT_KEYS = {

@@ -403,6 +403,11 @@ class TestBattery:
         assert min_proportion(20) == pytest.approx(
             0.99 - 3 * math.sqrt(0.99 * 0.01 / 20), rel=1e-12)
 
+    @pytest.mark.parametrize("streams", [0, -4])
+    def test_min_proportion_rejects_fewer_than_one_stream(self, streams):
+        with pytest.raises(ValueError, match=f"^streams must be >= 1, got {streams}$"):
+            min_proportion(streams)
+
     def test_single_stream_report_rows(self):
         bits = generate_bits(make_key(61.81, 0.23), 20_000, burn_in=100)
         rows = stream_outcomes(bits)

@@ -108,6 +108,24 @@ class TestPackBytes:
         data, _ = pack_bytes(stream)
         assert np.array_equal(unpack_bits(data), stream.bits)
 
+    def test_rejects_values_other_than_0_and_1(self):
+        # [0, 2, 1, 3] would pack to the byte of [0, 1, 1, 1]
+        with pytest.raises(ValueError, match="^bit input must hold only 0 and 1, got 3$"):
+            pack_bytes([0, 2, 1, 3])
+
+    def test_rejects_non_1d_input(self):
+        with pytest.raises(ValueError, match="^bit input must be one-dimensional$"):
+            pack_bytes(np.zeros((2, 8), dtype=np.uint8))
+
+    @pytest.mark.parametrize("n_bits", [-3, 17, 100])
+    def test_unpack_rejects_lengths_outside_the_data(self, n_bits):
+        with pytest.raises(ValueError, match=r"^n_bits must lie in \[0, 16\], got"):
+            unpack_bits(b"\xff\x00", n_bits)
+
+    @pytest.mark.parametrize("n_bits", [0, 16])
+    def test_unpack_accepts_the_bounds(self, n_bits):
+        assert unpack_bits(b"\xff\x00", n_bits).size == n_bits
+
 
 class TestQuantize:
     def test_zero(self):
