@@ -156,9 +156,11 @@ def rctm_step(x: float, key: MapKey) -> float:
     just below floor(mu/2) so the mod wraps to nearly 1.  Such wrapped
     numerators are folded to 0, keeping every output in [0, 1].
     """
-    _check_state(x)
-    t = key.mu * x if x < 0.5 else key.mu * (1.0 - x)
-    if key.is_ctm:
+    if not 0.0 <= x <= 1.0:  # the fallback chains this step, so a valid state skips the call
+        _check_state(x)
+    mu = key.mu
+    t = mu * x if x < 0.5 else mu * (1.0 - x)
+    if mu <= MU_MIN:  # a tent-arm key (ctm_key)
         return t
     t -= math.floor(t)
     if key.n1 <= x <= key.n2:

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
+
+from .nist import _gamma_q
 
 _MC_RADIUS_SQ = (256.0 ** 3 - 1.0) ** 2
 
@@ -61,7 +62,7 @@ def histogram_uniformity(data) -> tuple[np.ndarray, float, float]:
     counts = np.bincount(arr, minlength=256)
     expected = arr.size / 256
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    return counts, chi2, float(gammaincc(255 / 2.0, chi2 / 2.0))
+    return counts, chi2, _gamma_q(255 / 2.0, chi2 / 2.0)
 
 
 def _monte_carlo_pi(arr: np.ndarray) -> tuple[float, float]:

@@ -4,6 +4,9 @@ Implements monobit, block frequency, runs, longest run of ones, cumulative
 sums (both directions), approximate entropy, serial and the spectral (DFT)
 test, following the SP 800-22 reference definitions.  Each test returns a
 (statistic, p-value) pair; a stream passes a test when p >= ALPHA (0.01).
+The p-values come from ``math.erfc``, the normal CDF ``_normal_cdf`` and
+the chi-square tail ``_gamma_q`` (which ENT's chi-square uses too); the
+tests hold them to SciPy within a relative 1e-12.
 
 The remaining SP 800-22 tests (rank, universal, linear complexity,
 template matching, random excursions) carry large constant tables and are
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc, gammaincc, ndtr
 
 from .prbg import BitStream, _as_bits
 
@@ -78,6 +80,84 @@ class TestReport:
     passed: bool
 
 
+def _normal_cdf(x: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+_EPS = 2.0 ** -53  # unit roundoff of binary64
+_TINY = 1e-300  # Lentz's stand-in for a zero denominator
+
+# Stirling's series for ln Gamma(a) - [(a - 1/2) ln a - a + ln(2 pi)/2], the
+# coefficients of 1/a, 1/a^3, ...; from a = 20 the first omitted term is below 1e-19
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+_STIRLING_MIN_A = 20
+
+
+def _log1pmx(t: float) -> float:
+    """ln(1 + t) - t for t > -1, without the plain difference's cancellation near t = 0."""
+    if abs(t) > 0.5:
+        return math.log1p(t) - t
+    # ln(1 + t) = 2 atanh(u) = 2 (u + u^3/3 + u^5/5 + ...) and 2u - t = -t u, with |u| <= 1/3
+    u = t / (2.0 + t)
+    u2 = u * u
+    power, total, k = u * u2, 0.0, 3
+    while True:
+        term = power / k
+        total += term
+        if abs(term) <= _EPS * abs(total):
+            return 2.0 * total - t * u
+        power *= u2
+        k += 2
+
+
+def _gamma_prefactor(a: float, x: float) -> float:
+    """x^a e^-x / Gamma(a), for x > 0."""
+    if a < _STIRLING_MIN_A or x <= 0.5 * a:
+        return math.exp(a * math.log(x) - x - math.lgamma(a))
+    # a ln x - x - ln Gamma(a) = a (ln(1 + t) - t) + [a ln a - a - ln Gamma(a)], t = (x - a)/a,
+    # with the bracket from Stirling's series: the plain sum cancels terms of size a ln a
+    # (3e4 at block frequency's a = 3906), which costs about 1e-11 of the result
+    stirling = sum(c / a ** (2 * i + 1) for i, c in enumerate(_STIRLING))
+    return math.exp(a * _log1pmx((x - a) / a) + 0.5 * math.log(a / (2.0 * math.pi)) - stirling)
+
+
+def _gamma_q(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a), for a > 0.
+
+    Q(k/2, chi2/2) is the chi-square tail with k degrees of freedom.  Below
+    x = a + 1 it is 1 minus a series, above it Lentz's continued fraction
+    (Press et al., Numerical Recipes, 2nd ed., section 6.2).
+    """
+    if not 0.0 < x < math.inf:
+        # SciPy's values at the edges: a negative statistic (from rounding) has no tail
+        return 1.0 if x == 0.0 else (0.0 if x > 0.0 else math.nan)
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        ap = a
+        while term > _EPS * total:
+            ap += 1.0
+            term *= x / ap
+            total += term
+        return 1.0 - total * _gamma_prefactor(a, x)
+    b = x + 1.0 - a
+    c, d = 1.0 / _TINY, 1.0 / b
+    h, i = d, 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        step = d * c
+        h *= step
+        if abs(step - 1.0) <= _EPS:
+            return h * _gamma_prefactor(a, x)
+
+
 def _require(name: str, bits) -> np.ndarray:
     """The bits as a 1-D array, checked against the floor of test ``name``."""
     b = _as_bits(bits)
@@ -90,7 +170,7 @@ def monobit(bits) -> tuple[float, float]:
     """Frequency test: |sum of +/-1 bits| / sqrt(n) against erfc."""
     b = _require("monobit", bits)
     s_obs = abs(2 * int(b.sum()) - b.size) / math.sqrt(b.size)
-    return s_obs, float(erfc(s_obs / math.sqrt(2.0)))
+    return s_obs, math.erfc(s_obs / math.sqrt(2.0))
 
 
 def block_frequency(bits, block_size: int = 128) -> tuple[float, float]:
@@ -101,7 +181,7 @@ def block_frequency(bits, block_size: int = 128) -> tuple[float, float]:
     nblocks = b.size // block_size
     pis = b[:nblocks * block_size].reshape(nblocks, block_size).mean(axis=1)
     chi2 = 4.0 * block_size * float(np.sum((pis - 0.5) ** 2))
-    return chi2, float(gammaincc(nblocks / 2.0, chi2 / 2.0))
+    return chi2, _gamma_q(nblocks / 2.0, chi2 / 2.0)
 
 
 def runs(bits) -> tuple[float, float]:
@@ -117,7 +197,7 @@ def runs(bits) -> tuple[float, float]:
         return float("nan"), 0.0
     v = 1 + int(np.count_nonzero(np.diff(b)))
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
-    return float(v), float(erfc(num / (2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi))))
+    return float(v), math.erfc(num / (2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)))
 
 
 # block size -> (degrees of freedom, run-length class bounds, class probabilities)
@@ -155,7 +235,38 @@ def longest_run(bits) -> tuple[float, float]:
     counts = np.bincount(classes, minlength=len(probs))
     expected = nblocks * np.asarray(probs)
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    return chi2, float(gammaincc(dof / 2.0, chi2 / 2.0))
+    return chi2, _gamma_q(dof / 2.0, chi2 / 2.0)
+
+
+# the normal CDF rounds to exactly 1.0 from 8.3 and to exactly 0.0 below -38.5
+_CDF_ZERO, _CDF_ONE = -39.0, 8.5
+
+
+def _cusum_p(z: int, n: int) -> float:
+    """The cusum p-value for a largest excursion z over n bits (SP 800-22 section 2.13):
+    1 - sum_k [Phi((4k+1)u) - Phi((4k-1)u)] + sum_k [Phi((4k+3)u) - Phi((4k+1)u)], u = z / sqrt n.
+
+    A term whose two arguments both lie below _CDF_ZERO or both above
+    _CDF_ONE is exactly 0 and is skipped, and Phi is taken once per odd
+    multiple of u.  Of the n/(2z) terms per sum, about 12 sqrt(n)/z remain:
+    12 on a typical stream (z near sqrt n), 12000 on an alternating
+    10^6-bit one (z = 1).
+    """
+    sq = math.sqrt(n)
+    jlo = math.ceil(_CDF_ZERO * sq / z) | 1
+    jhi = (math.floor(_CDF_ONE * sq / z) - 1) | 1
+    cdf = {j: _normal_cdf(j * z / sq) for j in range(jlo, jhi + 1, 2)}
+
+    def terms(lo: int, hi: int, shift: int) -> float:
+        # Phi((4k + shift + 1) u) - Phi((4k + shift - 1) u), from the smallest terms up
+        lo = max(lo, math.ceil((jlo - shift - 1) / 4))
+        hi = min(hi, (jhi - shift + 1) // 4)
+        return sum(cdf.get(4 * k + shift + 1, 1.0) - cdf.get(4 * k + shift - 1, 0.0)
+                   for k in range(lo, hi + 1))
+
+    # summation bounds truncate toward zero, as in the reference code
+    return (1.0 - terms(int((-n / z + 1) / 4), int((n / z - 1) / 4), 0)
+            + terms(int((-n / z - 3) / 4), int((n / z - 1) / 4), 2))
 
 
 def _cusum(bits, reverse: bool) -> tuple[float, float]:
@@ -170,13 +281,7 @@ def _cusum(bits, reverse: bool) -> tuple[float, float]:
     # are S_n - S_j for j = 0..n-1, with S_0 = 0, so nothing is reversed
     end, walk = (int(walk[-1]), walk[:-1]) if reverse else (0, walk)
     z = max(max(0, int(walk.max())) - end, end - min(0, int(walk.min())))
-    sq = math.sqrt(n)
-    # summation bounds truncate toward zero, as in the reference code
-    k1 = np.arange(int((-n / z + 1) / 4), int((n / z - 1) / 4) + 1)
-    k2 = np.arange(int((-n / z - 3) / 4), int((n / z - 1) / 4) + 1)
-    t1 = float(np.sum(ndtr((4 * k1 + 1) * z / sq) - ndtr((4 * k1 - 1) * z / sq)))
-    t2 = float(np.sum(ndtr((4 * k2 + 3) * z / sq) - ndtr((4 * k2 + 1) * z / sq)))
-    return float(z), 1.0 - t1 + t2
+    return float(z), _cusum_p(z, n)
 
 
 def cusum_forward(bits) -> tuple[float, float]:
@@ -232,7 +337,7 @@ def approximate_entropy(bits, m: int = 2) -> tuple[float, float]:
         phi.append(float(np.sum(c * np.log(c))))
     apen = phi[0] - phi[1]
     chi2 = 2.0 * n * (math.log(2.0) - apen)
-    return apen, float(gammaincc(2 ** (m - 1), chi2 / 2.0))
+    return apen, _gamma_q(2 ** (m - 1), chi2 / 2.0)
 
 
 def _psi_squared(counts: np.ndarray) -> float:
@@ -258,8 +363,8 @@ def serial(bits, m: int = 2) -> tuple[tuple[float, float], tuple[float, float]]:
                              for k in (m, m - 1, m - 2))
     d1 = psi_m - psi_m1
     d2 = psi_m - 2.0 * psi_m1 + psi_m2
-    p1 = float(gammaincc(2 ** (m - 2), d1 / 2.0))
-    p2 = float(gammaincc(2 ** (m - 3), d2 / 2.0))
+    p1 = _gamma_q(2 ** (m - 2), d1 / 2.0)
+    p2 = _gamma_q(2 ** (m - 3), d2 / 2.0)
     return (d1, p1), (d2, p2)
 
 
@@ -277,7 +382,7 @@ def dft(bits) -> tuple[float, float]:
     n0 = 0.95 * n / 2.0
     n1 = int(np.count_nonzero(mods < threshold))
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
-    return d, float(erfc(abs(d) / math.sqrt(2.0)))
+    return d, math.erfc(abs(d) / math.sqrt(2.0))
 
 
 def stream_outcomes(bits) -> list[TestOutcome]:

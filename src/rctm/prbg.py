@@ -34,13 +34,22 @@ class BitStream:
 
 
 def _as_bits(bits: BitStream | np.ndarray) -> np.ndarray:
-    """The bits of a BitStream or a 0/1 array, as a 1-D array."""
-    arr = bits.bits if isinstance(bits, BitStream) else np.asarray(bits, dtype=np.uint8)
+    """The bits of a BitStream or a 0/1 array of bool or integer dtype, as a 1-D uint8 array.
+
+    The values are checked before any cast, so no float is truncated and no
+    wider integer wraps into 0..1.
+    """
+    arr = bits.bits if isinstance(bits, BitStream) else np.asarray(bits)
+    if arr.dtype.kind not in "biu":
+        raise ValueError(f"bit input must be of bool or integer dtype, got {arr.dtype}")
     if arr.ndim != 1:
         raise ValueError("bit input must be one-dimensional")
-    if arr.size and arr.max() > 1:
-        raise ValueError(f"bit input must hold only 0 and 1, got {int(arr.max())}")
-    return arr
+    if arr.size:
+        # only signed input can hold a negative value; uint8 pays the one max()
+        low, high = arr.min() if arr.dtype.kind == "i" else 0, arr.max()
+        if low < 0 or high > 1:
+            raise ValueError(f"bit input must hold only 0 and 1, got {int(low if low < 0 else high)}")
+    return arr.astype(np.uint8, copy=False)
 
 
 def orbit_stream(key: MapKey, n: int, burn_in: int,

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rctm
 from rctm.cli import main
 from rctm.core import make_key
 from rctm.prbg import generate_bits, pack_bytes, unpack_bits
@@ -191,6 +196,34 @@ class TestBatteries:
         data = json.loads(out.read_text())
         assert data["passed"] is False
         assert data["checks"]["entropy"] is False
+
+    def test_batteries_need_no_scipy(self, tmp_path):
+        # SciPy is the tests' oracle only: a plain import of rctm leaves it
+        # unloaded, and with it unimportable both batteries write the reports
+        # they write here
+        def argvs(where):
+            key = ["--mu", "61.81", "--x0", "0.23"]
+            return [["test-nist", *key, "--streams", "2", "--bits", "20000",
+                     "-o", str(where / "nist.json")],
+                    ["test-ent", *key, "--bytes", "100000", "-o", str(where / "ent.json")]]
+
+        env = {**os.environ, "PYTHONPATH": str(Path(rctm.__file__).parents[1])}
+        plain = subprocess.run([sys.executable, "-c", "import sys, rctm; print('scipy' in sys.modules)"],
+                               env=env, capture_output=True, text=True, check=True)
+        assert plain.stdout.split() == ["False"]
+        script = ("import json, sys\n"
+                  "sys.modules['scipy'] = None\n"
+                  "from rctm.cli import main\n"
+                  "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))")
+        blocked, here = tmp_path / "blocked", tmp_path / "here"
+        blocked.mkdir()
+        here.mkdir()
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs(blocked))],
+                              env=env, capture_output=True, text=True, check=True)
+        # 10^5 bytes sit below the entropy gate, which is calibrated for 10^6
+        assert json.loads(done.stdout) == [main(argv) for argv in argvs(here)] == [0, 2]
+        for name in ("nist.json", "ent.json"):
+            assert (blocked / name).read_bytes() == (here / name).read_bytes()
 
     def test_nan_statistics_serialize_as_null(self, tmp_path):
         # an all-zero-bias stream makes the runs statistic undefined

@@ -155,6 +155,15 @@ class TestRctmStep:
         assert rctm_step(0.8, key) == 1.5 * (1.0 - 0.8)
         assert rctm_step(0.5, ctm_key(2.0, 0.3)) == 1.0  # a mod would give 0
 
+    @pytest.mark.parametrize("key", [make_key(61.81, 0.23), ctm_key(2.0, 0.3)])
+    @pytest.mark.parametrize("x, message", [
+        (float("nan"), "must be finite"), (float("inf"), "must be finite"),
+        (float("-inf"), "must be finite"), (-5e-324, "must lie in"), (1.5, "must lie in"),
+    ])
+    def test_bad_states_raise_the_state_check_errors(self, key, x, message):
+        with pytest.raises(ValueError, match=f"^state {message}"):
+            rctm_step(x, key)
+
     def test_range_closure_random_points(self):
         rng = np.random.default_rng(17)
         for key in random_keys(200, seed=23):

@@ -1,10 +1,11 @@
 import itertools
 import math
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.special import erfc, gammaincc
+from scipy.special import erfc, gammaincc, ndtr
 
 from rctm import nist
 from rctm.core import make_key
@@ -156,7 +157,7 @@ class TestLongestRun:
             counts[min(max(best, lo), hi) - lo] += 1
         expected = (n // block) * np.asarray(probs)
         chi2 = float(np.sum((np.asarray(counts) - expected) ** 2 / expected))
-        assert longest_run(bits) == (chi2, float(gammaincc(dof / 2.0, chi2 / 2.0)))
+        assert longest_run(bits) == (chi2, nist._gamma_q(dof / 2.0, chi2 / 2.0))
 
 
 class TestCusum:
@@ -200,6 +201,18 @@ class TestCusum:
         rng = np.random.default_rng(4)
         bits = rng.integers(0, 2, size=2000, dtype=np.uint8)
         assert cusum_forward(bits[::-1]) == cusum_reverse(bits)
+
+    @pytest.mark.parametrize("test", [cusum_forward, cusum_reverse])
+    def test_alternating_megabit_stays_fast(self, test):
+        # z = 1 gives n/4 terms per sum; evaluating each took about 0.7 s per call
+        bits = np.tile(np.array([0, 1], dtype=np.uint8), 500_000)
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            stat, p = test(bits)
+            elapsed.append(time.perf_counter() - start)
+        assert stat == 1 and p == pytest.approx(1.0, abs=1e-14)
+        assert min(elapsed) < 0.3
 
     @pytest.mark.parametrize("test", [cusum_forward, cusum_reverse])
     def test_too_short_names_its_direction(self, test):
@@ -437,6 +450,45 @@ class TestBattery:
         streams = [np.ones(1000, dtype=np.uint8), np.ones(5000, dtype=np.uint8)]
         with pytest.raises(ValueError, match=r"\[1000, 5000\]"):
             nist_battery(streams)
+
+
+class TestPValueFunctions:
+    """The in-house erfc, normal CDF and chi-square tail against SciPy over the
+    arguments the tests, the CLI and the benchmark reach: a = k/2 for the
+    tests' degrees of freedom, 1/4 (serial at m = 1), 127.5 (ENT) and 3906
+    (block frequency at 10^6 bits), x from 1e-8 to the mean plus 9 sd.  The
+    tolerance is the benchmark's own gate, relative 1e-12, wherever p >= 1e-10."""
+
+    REL = 1e-12
+
+    def close(self, got, ref):
+        keep = ref >= 1e-10
+        assert keep.any()
+        assert np.all(np.abs(got - ref)[keep] <= self.REL * ref[keep])
+
+    @pytest.mark.parametrize("a", [0.25, 0.5, *range(1, 17), 127.5, 3906])
+    def test_chi_square_tail(self, a):
+        top = a + 9 * math.sqrt(a)
+        x = np.concatenate([np.geomspace(1e-8, top, 300),
+                            np.linspace(max(a - 9 * math.sqrt(a), 1e-8), top, 300)])
+        self.close(np.array([nist._gamma_q(a, v) for v in x.tolist()]), gammaincc(a, x))
+
+    @pytest.mark.parametrize("x", [0.0, -1e-12, math.inf, math.nan])
+    def test_chi_square_tail_edges_as_scipy(self, x):
+        np.testing.assert_equal(nist._gamma_q(2.5, x), gammaincc(2.5, x))
+
+    def test_erfc(self):
+        x = np.linspace(0.0, 7.0, 5001)
+        self.close(np.array([math.erfc(v) for v in x.tolist()]), erfc(x))
+
+    def test_normal_cdf(self):
+        x = np.linspace(-9.0, 9.0, 5001)
+        self.close(np.array([nist._normal_cdf(v) for v in x.tolist()]), ndtr(x))
+
+    def test_cdf_is_exactly_0_or_1_where_cusum_skips_terms(self):
+        # the cusum sums leave out the terms whose arguments all lie beyond these
+        assert {nist._normal_cdf(x) for x in (nist._CDF_ONE, 9.0, 40.0, 1e6)} == {1.0}
+        assert {nist._normal_cdf(x) for x in (nist._CDF_ZERO, -40.0, -1e6)} == {0.0}
 
 
 class TestPValueUniformity:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rctm.core import _CHUNK, iterate, make_key
+from rctm.nist import monobit
 from rctm.prbg import (
     generate_bits,
     generate_quantized,
@@ -112,6 +113,22 @@ class TestPackBytes:
         # [0, 2, 1, 3] would pack to the byte of [0, 1, 1, 1]
         with pytest.raises(ValueError, match="^bit input must hold only 0 and 1, got 3$"):
             pack_bytes([0, 2, 1, 3])
+
+    # each is refused before a cast to uint8 could make it look like bits
+    @pytest.mark.parametrize("bits, message", [
+        (np.array([0.7, 1.9] * 64), "must be of bool or integer dtype, got float64"),
+        (np.array([256, 1, 0] * 43, dtype=np.int64), "must hold only 0 and 1, got 256"),
+        (np.array([0, 1, -1] * 43, dtype=np.int16), "must hold only 0 and 1, got -1"),
+    ])
+    @pytest.mark.parametrize("run", [pack_bytes, monobit])
+    def test_rejects_input_that_would_cast_to_bits(self, run, bits, message):
+        with pytest.raises(ValueError, match=f"^bit input {message}$"):
+            run(bits)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.uint16])
+    def test_bool_and_integer_bits_pack_as_uint8(self, dtype):
+        bits = np.random.default_rng(5).integers(0, 2, size=27, dtype=np.uint8)
+        assert pack_bytes(bits.astype(dtype)) == pack_bytes(bits)
 
     def test_rejects_non_1d_input(self):
         with pytest.raises(ValueError, match="^bit input must be one-dimensional$"):
