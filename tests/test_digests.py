@@ -190,37 +190,37 @@ PINNED = {
     "generate_quantized": "5787c892a5f888d7738307673721fd228b5c747a4123806b52af5fb76eb1e6f2",
     "segmented_streams": "0b4a8984fbb3bf3a2563b9a53f4c464c06c8c606450fab1995747d40d1be80fa",
     "segmented_streams/fingerprints": "fec7d1879021d42a1492c68c880493b37b1e20c6b4ecd6328c3772825d89f2df",
-    "histogram_uniformity": "143819115cac6a5566c23b3436b1520c19d757842399233793aee9125928fb74",
-    "nist/stream_outcomes": "da697e6a1c0b7266bc4b472f79b0c7781110c96cb1075c2f36d25ecf73823416",
-    "nist/longest_run/n1000": "2946b42984d752c7dead2c651bc8f07d9258039adbfe56c1bd12c5ee29d9d2de",
-    "nist/longest_run/n100000": "00f03bfa014b1ee16512d08ff1ce48ae72623bff516dcbb40379f6005c481ee8",
-    "nist/longest_run/ones": "b7270ff939776ba4298f1f039d8765a9f362ce9cc9ee4eb88631f76b3288c445",
+    "histogram_uniformity": "6aa79eb0fc51069ae296d13b5af1f00d7688a63674623d07f66233bc9fbba064",
+    "nist/stream_outcomes": "d946f95ea77225f0424020b667de8f971f2d41af160b05a5d57aa0387435365b",
+    "nist/longest_run/n1000": "593f3651df8c60c21a372d30b085d515723413720795508f3192043b5b1bde5c",
+    "nist/longest_run/n100000": "bd00abf8aeaefac8975f0db467dc75001dbf9563309544e6fbcf4aee62e208be",
+    "nist/longest_run/ones": "d7e70a6d8581903746606c81a6ad151763943e56fa2609a57d75bfe6828f1cd6",
     "nist/cusum_forward/ones": "300b4f8fcba283bd1bb95e68eb28f18f344e05f5daf592fda0f58bc321f9cc32",
     "nist/cusum_reverse/ones": "300b4f8fcba283bd1bb95e68eb28f18f344e05f5daf592fda0f58bc321f9cc32",
-    "nist/longest_run/zeros": "58ef6431fa73ff8b639f254a23654e4696865c92836fdefb49744eda2af0fa13",
+    "nist/longest_run/zeros": "c08812fa709dd84bc361b687bb1d9ed50bf8e8576616edba3275484009d0578f",
     "nist/cusum_forward/zeros": "300b4f8fcba283bd1bb95e68eb28f18f344e05f5daf592fda0f58bc321f9cc32",
     "nist/cusum_reverse/zeros": "300b4f8fcba283bd1bb95e68eb28f18f344e05f5daf592fda0f58bc321f9cc32",
-    "nist/longest_run/alternating": "58ef6431fa73ff8b639f254a23654e4696865c92836fdefb49744eda2af0fa13",
-    "nist/cusum_forward/alternating": "27c81ba9e9c87091be416caeee74421c699dafaab7769135b03fd50eefe2a4ae",
-    "nist/cusum_reverse/alternating": "27c81ba9e9c87091be416caeee74421c699dafaab7769135b03fd50eefe2a4ae",
-    "nist/longest_run/straddle": "9512488efd480b0d5f520e30d2e1a1788601ed9ac2f5cd52f493ea24c1566300",
+    "nist/longest_run/alternating": "c08812fa709dd84bc361b687bb1d9ed50bf8e8576616edba3275484009d0578f",
+    "nist/cusum_forward/alternating": "fc6434cc268bd1f888ddcc971be970c272df696159fcd36d97abfc204ff84905",
+    "nist/cusum_reverse/alternating": "fc6434cc268bd1f888ddcc971be970c272df696159fcd36d97abfc204ff84905",
+    "nist/longest_run/straddle": "fda0a8e80078ea653ea292c5d498e0794c6495898079abcaa239e2ac8310780a",
     "nist/cusum_forward/straddle": "7e9cad7187c84eeac82794fc038fd2e9b6e49a4611848c7d741ec9ee6e50de24",
     "nist/cusum_reverse/straddle": "7e9cad7187c84eeac82794fc038fd2e9b6e49a4611848c7d741ec9ee6e50de24",
-    "nist/approximate_entropy/m1": "b5d5c87753688c567aa88432a791a7115d98479eebd67d05dc127fe122e1ec9f",
-    "nist/approximate_entropy/m2": "fed4bd6fe9eede3e22f4b27d34a65a707240b7dc2873b92ad5e2fa8816014c1d",
-    "nist/approximate_entropy/m3": "ca281b9439972ad89acb31e535d5f875cc3a4b415482f50aacae189a0fd7e581",
-    "nist/approximate_entropy/m4": "614b0eea0f6ea403b16306e76699afe55aa88a3dd29c790b4c978764eb8d8f77",
-    "nist/approximate_entropy/m5": "308fce18fbd84826ecc28bd8a2a99b712b521ffdb505bb9f1f9fe31c8c0f649a",
-    "nist/serial/m1": "d827f1ab0a316154b64aefa68ffeaa8ddb4b3aa9c966c6693c24b50b3dbeb7b4",
-    "nist/serial/m2": "27decd3dc0218cdb9df0e688493e61e70c39fb563d692e0a7592291ecb1c67b7",
-    "nist/serial/m3": "47ca46f74cfe8aac6cc9d9a4a6480b74e55425ba6fc8977842f078433688acd3",
+    "nist/approximate_entropy/m1": "c57ca0dedf92e3472c8f8eeed162e0d825b572d76a8bc5073e5abb3693a310a9",
+    "nist/approximate_entropy/m2": "acca5a1a8bf0b8f0a7b3105349cc7e6436a7d29c27ca673e1aac6419f6d897e5",
+    "nist/approximate_entropy/m3": "93b364f4a72be42595afb9de01f4573df60aba1a843b0e6cf18dcb1399ce5b6f",
+    "nist/approximate_entropy/m4": "e2073cb813f61b511a2aed956bb8728b100595b9fefa0850867818f07f496e18",
+    "nist/approximate_entropy/m5": "087cd5d1c2a4cec1d673ab869d47c3b075cb128ce9aec1c6ea464cbd12e32384",
+    "nist/serial/m1": "102f1da347537a4a6b38ac9932ac1962c380b8c0ff4feb86349a7a31859b4692",
+    "nist/serial/m2": "c0ba21db4d5369b627fec075322e5983365ef4ce350587e313e61e9a74840536",
+    "nist/serial/m3": "3d884756cc9118c89eed03c1a9520d159eae13f97587cbc821fe50860ec30eab",
     "nist/serial/m4": "bfb7c81fc12f7ef0d36cdd6b84658efdb3fd00f4ff0fa3f4107a5b53364e921d",
-    "nist/serial/m5": "7a0d53872551dfe6598cd7c964f7d5ee10e0edeaa76be04d248aa6d204b59a12",
+    "nist/serial/m5": "71a6c80b2fdd6fca30cd53cd7f0df7d201ac1333358dda492a2454cacb8a1a2f",
     "cli/generate_raw": "b6ba1e4fddd6edf9438664bda28b2853aa85651f08395292fc9beb5ac04c2b58",
     "cli/export_ascii/0": "3ac8ac0c63380bb225a362b3c7de4bd34fa0721dfccaee7d7b5b4f558cf1fb1d",
     "cli/export_ascii/1": "2441f86f56d2e3c21ee35bcd1f695f909b6cc318eaf871302f72bd88b41329db",
     "cli/export_ascii/2": "28a019a630cf4492820105a9deb907ef325507f39251db2d1eedaffd1c856e73",
-    "cli/test_ent_report": "6122277ecfe75c900d07f3b46b6c2632b010a4d3b5c62fd36e6bcd4ddfb7f173",
+    "cli/test_ent_report": "73fa1308fb91dcf5e4a0ac5aa9649f41a37b9ed8e8c932d77cab08485990dd34",
     "cli/test_nist_report": "ed658b83cbc2ceec48a7f02531c7c91bac7ab75e1e5544dcba4ab28e4c0ad53b",
     "cli/dynamics_bifurcation_csv": "4aa08551784ce3e0dd560838969055f1e017ed3bca0f6e4fe4630ec4b3070fe8",
     "cli/dynamics_bifurcation_json": "32ff3f996d1e805ef8c7acef049949bc003d118ed13ee3c86b7c1be48d4da34e",
