@@ -248,7 +248,9 @@ def _cusum_p(z: int, n: int) -> float:
     _CDF_ONE is exactly 0 and is skipped, and Phi is taken once per odd
     multiple of u.  Of the n/(2z) terms per sum, about 12 sqrt(n)/z remain:
     12 on a typical stream (z near sqrt n), 12000 on an alternating
-    10^6-bit one (z = 1).
+    10^6-bit one (z = 1).  The sums' rounding can carry the result past 1
+    when z is small against sqrt n (1.0004 at n = 10, z = 1), so it is
+    clamped to [0, 1].
     """
     sq = math.sqrt(n)
     jlo = math.ceil(_CDF_ZERO * sq / z) | 1
@@ -263,8 +265,9 @@ def _cusum_p(z: int, n: int) -> float:
                    for k in range(lo, hi + 1))
 
     # summation bounds truncate toward zero, as in the reference code
-    return (1.0 - terms(int((-n / z + 1) / 4), int((n / z - 1) / 4), 0)
-            + terms(int((-n / z - 3) / 4), int((n / z - 1) / 4), 2))
+    p = (1.0 - terms(int((-n / z + 1) / 4), int((n / z - 1) / 4), 0)
+         + terms(int((-n / z - 3) / 4), int((n / z - 1) / 4), 2))
+    return min(max(p, 0.0), 1.0)
 
 
 def _cusum(bits, reverse: bool) -> tuple[float, float]:

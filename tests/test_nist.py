@@ -214,6 +214,14 @@ class TestCusum:
         assert stat == 1 and p == pytest.approx(1.0, abs=1e-14)
         assert min(elapsed) < 0.3
 
+    # the SP 800-22 sums overshoot 1 here before the clamp (1.0004 at n = 10)
+    @pytest.mark.parametrize("n", [10, 10**4, 10**6])
+    @pytest.mark.parametrize("first", [0, 1])
+    @pytest.mark.parametrize("test", [cusum_forward, cusum_reverse])
+    def test_alternating_p_value_is_at_most_1(self, test, first, n):
+        bits = (np.arange(n) + first) % 2
+        assert test(bits) == (1.0, 1.0)
+
     @pytest.mark.parametrize("test", [cusum_forward, cusum_reverse])
     def test_too_short_names_its_direction(self, test):
         with pytest.raises(ValueError, match=f"^{test.__name__} needs at least 2 bits"):
