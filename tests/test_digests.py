@@ -201,8 +201,8 @@ PINNED = {
     "nist/cusum_forward/zeros": "300b4f8fcba283bd1bb95e68eb28f18f344e05f5daf592fda0f58bc321f9cc32",
     "nist/cusum_reverse/zeros": "300b4f8fcba283bd1bb95e68eb28f18f344e05f5daf592fda0f58bc321f9cc32",
     "nist/longest_run/alternating": "c08812fa709dd84bc361b687bb1d9ed50bf8e8576616edba3275484009d0578f",
-    "nist/cusum_forward/alternating": "fc6434cc268bd1f888ddcc971be970c272df696159fcd36d97abfc204ff84905",
-    "nist/cusum_reverse/alternating": "fc6434cc268bd1f888ddcc971be970c272df696159fcd36d97abfc204ff84905",
+    "nist/cusum_forward/alternating": "ac665b8b651d23f8a6888352d33763140571715b13f6ffd9535b99a056bab682",
+    "nist/cusum_reverse/alternating": "ac665b8b651d23f8a6888352d33763140571715b13f6ffd9535b99a056bab682",
     "nist/longest_run/straddle": "fda0a8e80078ea653ea292c5d498e0794c6495898079abcaa239e2ac8310780a",
     "nist/cusum_forward/straddle": "7e9cad7187c84eeac82794fc038fd2e9b6e49a4611848c7d741ec9ee6e50de24",
     "nist/cusum_reverse/straddle": "7e9cad7187c84eeac82794fc038fd2e9b6e49a4611848c7d741ec9ee6e50de24",
