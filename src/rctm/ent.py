@@ -40,6 +40,8 @@ def _as_bytes(data) -> np.ndarray:
     arr = np.asarray(data)
     if arr.dtype != np.uint8:
         raise ValueError("byte input must be uint8 or bytes-like")
+    if arr.ndim != 1:
+        raise ValueError(f"byte input must be one-dimensional, got {arr.ndim} dimensions")
     if arr.size == 0:
         raise ValueError("byte input must be non-empty")
     return arr

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rctm.core import make_key
-from rctm.ent import byte_entropy, ent_battery
+from rctm.ent import byte_entropy, ent_battery, histogram_uniformity
 from rctm.prbg import generate_quantized
 
 
@@ -115,3 +115,12 @@ class TestEntBattery:
         assert abs(report.serial_correlation) <= 0.01
         assert 0.1 <= report.chi_square_percentile <= 99.9
         assert report.n_bytes == 200_000
+
+
+# before the check, 2-D input failed inside np.bincount ("object too deep")
+@pytest.mark.parametrize("func", [byte_entropy, histogram_uniformity, ent_battery])
+@pytest.mark.parametrize("shape", [(), (16, 16)])
+def test_input_of_other_than_one_dimension_is_refused_by_name(func, shape):
+    data = np.zeros(shape, dtype=np.uint8)
+    with pytest.raises(ValueError, match=f"^byte input must be one-dimensional, got {len(shape)} "):
+        func(data)
