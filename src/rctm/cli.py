@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
@@ -31,6 +32,51 @@ ENT_THRESHOLDS = {
     "max_pi_error_pct": 0.5,
     "chi_square_percentile_range": (1.0, 99.0),
 }
+
+
+# The tuning options of `sweep` and `analyze-dynamics` default to None, "not given".
+# Per --kind or --what, each table maps the options it reads to the library parameter
+# they fill (None: read by the command).  An option left out takes that parameter's
+# default; one given to a kind that does not read it is refused before any output.
+_PERTURBATION = {"delta": "delta", "vary": "vary", "length": "length", "burn_in": "burn_in"}
+SWEEP_READS = {
+    "correlation": {**_PERTURBATION, "pairs": "pairs", "pairs_csv": None},
+    "differential": {**_PERTURBATION, "pairs": "pairs", "pairs_csv": None},
+    "sensitivity": {**_PERTURBATION, "sequences": "sequences"},
+    "entropy": {"delta": "seed_increment", "sequences": "sequences", "length": "length",
+                "burn_in": "burn_in"},
+}
+DYNAMICS_READS = {
+    "bifurcation": {"burn_in": "settle", "iterations": "keep"},
+    "lyapunov": {"burn_in": "burn_in", "iterations": "n"},
+    "coverage": {"iterations": "n", "bins": "bins"},
+}
+# the mu grid of analyze-dynamics, which a single --mu replaces
+GRID_READS = {
+    "grid": {"mu_min": "mu_min", "mu_max": "mu_max", "grid_points": "grid_points"},
+    "single": {},
+}
+
+
+def _given(args, table: dict, kind: str, owner: str) -> dict:
+    """Keyword arguments from the options of ``table`` given on the command
+    line; one that ``kind`` does not read is refused, naming ``owner``."""
+    reads = table[kind]
+    kwargs = {}
+    for dest in dict.fromkeys(d for options in table.values() for d in options):
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        if dest not in reads:
+            raise ValueError(f"--{dest.replace('_', '-')} is not read by {owner}")
+        if reads[dest]:
+            kwargs[reads[dest]] = value
+    return kwargs
+
+
+def _used(func, kwargs: dict, name: str):
+    """The value ``func`` runs with for parameter ``name``: given, or its default."""
+    return kwargs.get(name, inspect.signature(func).parameters[name].default)
 
 
 def _parse_float(text: str) -> float:
@@ -149,18 +195,20 @@ def _dynamics_key(mu: float, x0: float) -> MapKey:
     return ctm_key(mu, x0) if 0.0 < mu <= 2.0 else make_key(mu, x0)
 
 
-def _mu_grid(args) -> list[float]:
-    if args.mu is not None:
-        return [args.mu]
-    if args.grid_points < 1:
-        raise ValueError(f"grid points must be >= 1, got {args.grid_points}")
-    return [float(v) for v in np.linspace(args.mu_min, args.mu_max, args.grid_points)]
+def _mu_grid(mu_min: float = 2.001, mu_max: float = 99.999,
+             grid_points: int = 200) -> list[float]:
+    if grid_points < 1:
+        raise ValueError(f"grid points must be >= 1, got {grid_points}")
+    return [float(v) for v in np.linspace(mu_min, mu_max, grid_points)]
 
 
 def cmd_analyze_dynamics(args) -> int:
+    kwargs = _given(args, DYNAMICS_READS, args.what, f"--what {args.what}")
+    spec = _given(args, GRID_READS, "grid" if args.mu is None else "single",
+                  f"--what {args.what} with --mu")
+    grid = _mu_grid(**spec) if args.mu is None else [args.mu]
     if args.what == "bifurcation":
-        result = dynamics.bifurcation_sample(_mu_grid(args), args.x0,
-                                             settle=args.settle, keep=args.keep)
+        result = dynamics.bifurcation_sample(grid, args.x0, **kwargs)
         if result.skipped_mu:
             print(f"skipped unsupported mu values: {result.skipped_mu}", file=sys.stderr)
         header, rows = ["mu", "x"], list(zip(result.mu.tolist(), result.x.tolist()))
@@ -168,20 +216,20 @@ def cmd_analyze_dynamics(args) -> int:
                "keep": result.keep, "skipped_mu": result.skipped_mu,
                "points": [list(row) for row in rows]}
     elif args.what == "lyapunov":
-        estimates = dynamics.lyapunov_grid(_mu_grid(args), args.x0,
-                                           n=args.iterations, burn_in=args.burn_in)
+        estimates = dynamics.lyapunov_grid(grid, args.x0, **kwargs)
         header, rows = ["mu", "lambda"], [(e.mu, e.exponent) for e in estimates]
-        doc = {"what": "lyapunov", "x0": args.x0, "iterations": args.iterations,
-               "burn_in": args.burn_in,
+        doc = {"what": "lyapunov", "x0": args.x0,
+               "iterations": _used(dynamics.lyapunov_grid, kwargs, "n"),
+               "burn_in": _used(dynamics.lyapunov_grid, kwargs, "burn_in"),
                "estimates": [{"mu": e.mu, "lambda": e.exponent,
                               "n_samples": e.n_samples} for e in estimates]}
     else:
         header, rows = ["mu", "coverage"], [
-            (mu, dynamics.phase_coverage(_dynamics_key(mu, args.x0),
-                                         n=args.iterations, bins=args.bins))
-            for mu in _mu_grid(args)]
-        doc = {"what": "coverage", "x0": args.x0, "iterations": args.iterations,
-               "bins": args.bins,
+            (mu, dynamics.phase_coverage(_dynamics_key(mu, args.x0), **kwargs))
+            for mu in grid]
+        doc = {"what": "coverage", "x0": args.x0,
+               "iterations": _used(dynamics.phase_coverage, kwargs, "n"),
+               "bins": _used(dynamics.phase_coverage, kwargs, "bins"),
                "points": [{"mu": mu, "coverage": cov} for mu, cov in rows]}
     if args.format == "csv":
         _write_csv(args.output, header, ((repr(mu), repr(v)) for mu, v in rows))
@@ -247,14 +295,10 @@ def cmd_test_ent(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    kwargs = _given(args, SWEEP_READS, args.kind, f"--kind {args.kind}")
     key = make_key(args.mu, args.x0)
-    # --burn-in and --delta reach the sweep only when given, so its own defaults apply
-    given = {} if args.burn_in is None else {"burn_in": args.burn_in}
-    if args.delta is not None:
-        given["seed_increment" if args.kind == "entropy" else "delta"] = args.delta
     if args.kind in ("correlation", "differential"):
-        result = analysis.correlation_sweep(key, pairs=args.pairs, length=args.length,
-                                            vary=args.vary, **given)
+        result = analysis.correlation_sweep(key, **kwargs)
         payload = {
             "kind": args.kind,
             "base_key": _key_meta(result.base_key),
@@ -273,16 +317,15 @@ def cmd_sweep(args) -> int:
                          repr(float(result.uaci_pct[i])), repr(float(result.npcr_pct[i])))
                         for i in range(result.pairs)))
     elif args.kind == "sensitivity":
-        result = analysis.key_sensitivity_run(key, vary=args.vary, sequences=args.sequences,
-                                              length=args.length, **given)
+        result = analysis.key_sensitivity_run(key, **kwargs)
         payload = {
             "kind": "sensitivity",
             "case": f"vary_{result.vary}",
             "base_key": _key_meta(key),
             "delta": result.delta,
             "delta_hex": float(result.delta).hex(),
-            "sequences": args.sequences,
-            "length": args.length,
+            "sequences": len(result.keys),
+            "length": result.states.shape[1],
             "burn_in": result.burn_in,
             "offsets": list(result.offsets),
             "skipped_offsets": list(result.skipped_offsets),
@@ -291,8 +334,7 @@ def cmd_sweep(args) -> int:
             "preview": result.preview,
         }
     else:
-        result = analysis.entropy_sweep(key, sequences=args.sequences,
-                                        length=args.length, **given)
+        result = analysis.entropy_sweep(key, **kwargs)
         payload = {
             "kind": "entropy",
             "base_key": _key_meta(key),
@@ -319,6 +361,14 @@ def _add_key_args(p: argparse.ArgumentParser) -> None:
                    help="initial condition in (0, 1)")
 
 
+def _read_by(table: dict, dest: str) -> str:
+    return "read by " + ", ".join(kind for kind, reads in table.items() if dest in reads)
+
+
+_TUNING = ("A tuning option left out takes the default of the library function it "
+           "reaches; one that the chosen kind does not read is refused (exit 1).")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rctm",
@@ -343,18 +393,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="output path prefix")
     p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser("analyze-dynamics", help="bifurcation, Lyapunov or coverage datasets")
+    p = sub.add_parser("analyze-dynamics", help="bifurcation, Lyapunov or coverage datasets",
+                       description=_TUNING)
     p.add_argument("--what", choices=("bifurcation", "lyapunov", "coverage"), required=True)
-    p.add_argument("--mu", type=_parse_float, help="single mu (alternative to a grid)")
-    p.add_argument("--mu-min", type=_parse_float, default=2.001)
-    p.add_argument("--mu-max", type=_parse_float, default=99.999)
-    p.add_argument("--grid-points", type=int, default=200)
+    p.add_argument("--mu", type=_parse_float, help="single mu (in place of a grid)")
+    p.add_argument("--mu-min", type=_parse_float, help="grid start (default 2.001)")
+    p.add_argument("--mu-max", type=_parse_float, help="grid end (default 99.999)")
+    p.add_argument("--grid-points", type=int, help="grid size (default 200)")
     p.add_argument("--x0", type=_parse_float, default=0.23)
-    p.add_argument("--settle", type=int, default=dynamics.DEFAULT_SETTLE)
-    p.add_argument("--keep", type=int, default=dynamics.DEFAULT_KEEP)
-    p.add_argument("--iterations", type=int, default=100_000)
-    p.add_argument("--burn-in", type=int, default=100)
-    p.add_argument("--bins", type=int, default=1000)
+    p.add_argument("--iterations", type=int,
+                   help="samples per mu; " + _read_by(DYNAMICS_READS, "iterations"))
+    p.add_argument("--burn-in", type=int,
+                   help="samples skipped first; " + _read_by(DYNAMICS_READS, "burn_in"))
+    p.add_argument("--bins", type=int, help="coverage cells; " + _read_by(DYNAMICS_READS, "bins"))
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_analyze_dynamics)
@@ -374,21 +425,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_test_ent)
 
-    p = sub.add_parser("sweep", help="perturbation and entropy sweeps")
+    p = sub.add_parser("sweep", help="perturbation and entropy sweeps", description=_TUNING)
     p.add_argument("--kind", choices=("correlation", "differential", "sensitivity", "entropy"),
                    required=True)
     _add_key_args(p)
     p.add_argument("--delta", type=_parse_float,
                    help="step between successive keys, in x0 for entropy (decimal or hex "
-                        "float, e.g. 0x1p-48; default: the sweep function's own; see README)")
-    p.add_argument("--vary", choices=("mu", "x0"), default="mu")
-    p.add_argument("--pairs", type=int, default=1000)
-    p.add_argument("--sequences", type=int, default=5)
-    p.add_argument("--length", type=int, default=1000)
+                        "float, e.g. 0x1p-48); " + _read_by(SWEEP_READS, "delta"))
+    p.add_argument("--vary", choices=("mu", "x0"),
+                   help="perturbed parameter; " + _read_by(SWEEP_READS, "vary"))
+    p.add_argument("--pairs", type=int, help=_read_by(SWEEP_READS, "pairs"))
+    p.add_argument("--sequences", type=int, help=_read_by(SWEEP_READS, "sequences"))
+    p.add_argument("--length", type=int,
+                   help="samples per orbit; " + _read_by(SWEEP_READS, "length"))
     p.add_argument("--burn-in", type=int,
-                   help="samples skipped before each orbit (default: the sweep "
-                        "function's own; see README)")
-    p.add_argument("--pairs-csv", help="also write per-pair metrics as CSV")
+                   help="samples skipped before each orbit; " + _read_by(SWEEP_READS, "burn_in"))
+    p.add_argument("--pairs-csv", help="also write per-pair metrics as CSV; "
+                                       + _read_by(SWEEP_READS, "pairs_csv"))
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_sweep)
 

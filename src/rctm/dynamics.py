@@ -17,10 +17,6 @@ import numpy as np
 from .core import (MU_MAX, MU_MIN, MapKey, _branch_log_slopes, ctm_key, iterate,
                    iterate_batch, make_key)
 
-DEFAULT_SETTLE = 1000
-DEFAULT_KEEP = 200
-
-
 @dataclass(frozen=True)
 class LyapunovEstimate:
     """Time-averaged log branch slope, in nats per iteration."""
@@ -59,8 +55,7 @@ def _grid_key(mu: float, x0: float) -> MapKey | None:
 
 
 def bifurcation_sample(mu_grid: Sequence[float], x0: float,
-                       settle: int = DEFAULT_SETTLE,
-                       keep: int = DEFAULT_KEEP) -> BifurcationResult:
+                       settle: int = 1000, keep: int = 200) -> BifurcationResult:
     """Sample `keep` successive states per grid value after `settle` iterates.
 
     Unsupported grid values (integers above 2, values outside (0, 100)) are
@@ -113,7 +108,7 @@ def lyapunov_expected(mu: float) -> float:
     return math.log(mu) - (2.0 * s / mu) * math.log(s)
 
 
-def lyapunov_grid(mu_values: Sequence[float], x0: float, n: int,
+def lyapunov_grid(mu_values: Sequence[float], x0: float, n: int = 100_000,
                   burn_in: int = 100) -> list[LyapunovEstimate]:
     """Lyapunov estimates over a mu grid; unsupported values are dropped."""
     keys = [k for mu in mu_values if (k := _grid_key(float(mu), x0)) is not None]
@@ -128,7 +123,7 @@ def lyapunov_grid(mu_values: Sequence[float], x0: float, n: int,
     ]
 
 
-def phase_coverage(key: MapKey, n: int, bins: int) -> float:
+def phase_coverage(key: MapKey, n: int = 100_000, bins: int = 1000) -> float:
     """Fraction of `bins` equal cells of [0, 1] visited in n iterates."""
     if bins < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import rctm
+from rctm import analysis, cli, dynamics
 from rctm.cli import main
 from rctm.core import make_key
 from rctm.prbg import generate_bits, pack_bytes, unpack_bits
@@ -120,7 +122,7 @@ class TestDynamicsCommand:
         out = tmp_path / "bif.csv"
         assert run(["analyze-dynamics", "--what", "bifurcation",
                     "--mu-min", 2.1, "--mu-max", 10.1, "--grid-points", 5,
-                    "--x0", 0.23, "--settle", 50, "--keep", 10,
+                    "--x0", 0.23, "--burn-in", 50, "--iterations", 10,
                     "--format", "csv", "-o", out]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "mu,x"
@@ -349,6 +351,102 @@ class TestSweepCommand:
         assert reports[5000] != reports[0]
         assert json.loads(reports[0])["burn_in"] == 0
         assert json.loads(reports[5000])["burn_in"] == 5000
+
+
+KEY = ["--mu", 61.81, "--x0", 0.23]
+# short orbits, so a missed refusal fails fast
+CHEAP = {"sweep": ["--length", 100], "analyze-dynamics": ["--iterations", 100]}
+
+
+class TestTuningOptions:
+    """Each tuning option of sweep and analyze-dynamics reaches the library only
+    when given, and is refused where the chosen kind would not read it."""
+
+    @pytest.mark.parametrize("table, kind, func", [
+        (cli.SWEEP_READS, "correlation", analysis.correlation_sweep),
+        (cli.SWEEP_READS, "differential", analysis.correlation_sweep),
+        (cli.SWEEP_READS, "sensitivity", analysis.key_sensitivity_run),
+        (cli.SWEEP_READS, "entropy", analysis.entropy_sweep),
+        (cli.DYNAMICS_READS, "bifurcation", dynamics.bifurcation_sample),
+        (cli.DYNAMICS_READS, "lyapunov", dynamics.lyapunov_grid),
+        (cli.DYNAMICS_READS, "coverage", dynamics.phase_coverage),
+        (cli.GRID_READS, "grid", cli._mu_grid),
+    ])
+    def test_every_option_fills_a_parameter_with_a_default(self, table, kind, func):
+        params = inspect.signature(func).parameters
+        for param in filter(None, table[kind].values()):
+            assert params[param].default is not inspect.Parameter.empty
+
+    @pytest.mark.parametrize("argv, option, value, owner", [
+        (["sweep", "--kind", "correlation", *KEY], "--sequences", 3, "--kind correlation"),
+        (["sweep", "--kind", "differential", *KEY], "--sequences", 3, "--kind differential"),
+        (["sweep", "--kind", "sensitivity", *KEY], "--pairs", 3, "--kind sensitivity"),
+        (["sweep", "--kind", "sensitivity", *KEY], "--pairs-csv", "p.csv", "--kind sensitivity"),
+        (["sweep", "--kind", "entropy", *KEY], "--vary", "x0", "--kind entropy"),
+        (["sweep", "--kind", "entropy", *KEY], "--pairs", 3, "--kind entropy"),
+        (["sweep", "--kind", "entropy", *KEY], "--pairs-csv", "p.csv", "--kind entropy"),
+        (["analyze-dynamics", "--what", "bifurcation"], "--bins", 50, "--what bifurcation"),
+        (["analyze-dynamics", "--what", "lyapunov"], "--bins", 50, "--what lyapunov"),
+        (["analyze-dynamics", "--what", "coverage", "--mu", 20.33], "--burn-in", 5,
+         "--what coverage"),
+        (["analyze-dynamics", "--what", "coverage", "--mu", 20.33], "--mu-min", 2.5,
+         "--what coverage with --mu"),
+        (["analyze-dynamics", "--what", "lyapunov", "--mu", 20.33], "--mu-max", 90.5,
+         "--what lyapunov with --mu"),
+        (["analyze-dynamics", "--what", "bifurcation", "--mu", 20.33], "--grid-points", 7,
+         "--what bifurcation with --mu"),
+    ])
+    def test_option_the_kind_does_not_read_exits_1(self, tmp_path, monkeypatch, capsys,
+                                                   argv, option, value, owner):
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, option, value, *CHEAP[argv[0]], "-o", "out.json"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {option} is not read by {owner}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("option", ["--settle", "--keep"])
+    def test_settle_and_keep_are_gone(self, tmp_path, option):
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze-dynamics", "--what", "bifurcation", "--mu", 20.33, option, 5,
+                 "-o", tmp_path / "bif.csv"])
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_bifurcation_reads_burn_in_and_iterations(self, tmp_path):
+        docs = {}
+        for name, extra in (("default", []),
+                            ("explicit", ["--burn-in", 1000, "--iterations", 200]),
+                            ("short", ["--burn-in", 3, "--iterations", 7])):
+            out = tmp_path / f"{name}.json"
+            assert run(["analyze-dynamics", "--what", "bifurcation", "--mu", 20.33, *extra,
+                        "--format", "json", "-o", out]) == 0
+            docs[name] = out.read_bytes()
+        assert docs["default"] == docs["explicit"]
+        short = json.loads(docs["short"])
+        assert (short["settle"], short["keep"], len(short["points"])) == (3, 7, 7)
+
+    @pytest.mark.parametrize("argv, recorded", [
+        (["sweep", "--kind", "entropy", *KEY],
+         {"sequences": 100, "length": 100_000, "burn_in": 0, "seed_increment": 2.0 ** -20}),
+        (["sweep", "--kind", "sensitivity", *KEY],
+         {"case": "vary_mu", "sequences": 5, "length": 3000, "burn_in": 0}),
+        (["sweep", "--kind", "correlation", *KEY],
+         {"vary": "mu", "pairs": 1000, "length": 1000, "burn_in": 100}),
+        (["analyze-dynamics", "--what", "lyapunov", "--mu", 61.81, "--format", "json"],
+         {"iterations": 100_000, "burn_in": 100}),
+        (["analyze-dynamics", "--what", "coverage", "--mu", 20.33, "--format", "json"],
+         {"iterations": 100_000, "bins": 1000}),
+    ])
+    def test_omitted_options_run_and_record_the_library_defaults(self, tmp_path, argv,
+                                                                 recorded):
+        out = tmp_path / "report.json"
+        assert run([*argv, "-o", out]) == 0
+        data = json.loads(out.read_text())
+        assert {name: data[name] for name in recorded} == recorded
+        if "entropies" in data:
+            assert len(data["entropies"]) == 100
+        if "estimates" in data:
+            assert data["estimates"][0]["n_samples"] == 100_000
 
 
 class TestKeyspaceCommand:

@@ -109,7 +109,7 @@ def nist_digests() -> dict[str, str]:
 
 DYNAMICS_ARGS = {
     "bifurcation": ["--mu-min", "1.5", "--mu-max", "6.0", "--grid-points", "4",
-                    "--x0", "0.23", "--settle", "50", "--keep", "10"],
+                    "--x0", "0.23", "--burn-in", "50", "--iterations", "10"],
     "lyapunov": ["--mu-min", "1.5", "--mu-max", "90.5", "--grid-points", "4",
                  "--iterations", "2000", "--burn-in", "10"],
     "coverage": ["--mu-min", "1.9", "--mu-max", "20.33", "--grid-points", "3",
