@@ -365,8 +365,8 @@ def _read_by(table: dict, dest: str) -> str:
     return "read by " + ", ".join(kind for kind, reads in table.items() if dest in reads)
 
 
-_TUNING = ("A tuning option left out takes the default of the library function it "
-           "reaches; one that the chosen kind does not read is refused (exit 1).")
+_TUNING = ("A tuning option left out takes the default of the function it reaches "
+           "(see README); one that the chosen kind does not read is refused (exit 1).")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,9 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
                        description=_TUNING)
     p.add_argument("--what", choices=("bifurcation", "lyapunov", "coverage"), required=True)
     p.add_argument("--mu", type=_parse_float, help="single mu (in place of a grid)")
-    p.add_argument("--mu-min", type=_parse_float, help="grid start (default 2.001)")
-    p.add_argument("--mu-max", type=_parse_float, help="grid end (default 99.999)")
-    p.add_argument("--grid-points", type=int, help="grid size (default 200)")
+    p.add_argument("--mu-min", type=_parse_float, help="grid start")
+    p.add_argument("--mu-max", type=_parse_float, help="grid end")
+    p.add_argument("--grid-points", type=int, help="grid size; no grid option is read with --mu")
     p.add_argument("--x0", type=_parse_float, default=0.23)
     p.add_argument("--iterations", type=int,
                    help="samples per mu; " + _read_by(DYNAMICS_READS, "iterations"))
