@@ -21,8 +21,8 @@ import numpy as np
 from . import analysis, core, dynamics, nist
 from .core import MapKey, ctm_key, make_key
 from .ent import ent_battery
-from .prbg import (DEGENERATE_TAIL, generate_bits, orbit_stream, pack_bytes,
-                   quantize_values, segmented_streams)
+from .prbg import (DEGENERATE_TAIL, orbit_stream, quantize_values, segmented_streams,
+                   stream_chunks, threshold_values)
 
 # ENT gate values, calibrated for the standard 10^6-byte battery run
 ENT_THRESHOLDS = {
@@ -134,24 +134,44 @@ def _health(degenerate: bool) -> dict:
     return {"degenerate_tail": degenerate}
 
 
-def _write_bits(path: str, bits: np.ndarray, fmt: str) -> int:
-    """Write a bit array in the chosen format; returns raw pad bit count."""
-    if fmt == "ascii-bits":
+def _write_bits(paths: list[str], bits_per_file: int, chunks, fmt: str) -> bool:
+    """Write the bit chunks of ``stream_chunks`` as they arrive, ``bits_per_file``
+    bits to each path in turn; returns the stream's degenerate flag.
+
+    raw packs MSB-first and carries the fewer than 8 bits left over at a chunk's
+    end into the next, so each file holds ``pack_bytes`` of its bits;
+    ascii-bits writes '0'/'1' characters and a trailing newline.
+    """
+    chunk, degenerate = next(chunks)  # checks the counts before any file is opened
+    for path in paths:
         with open(path, "wb") as fh:
-            fh.write(np.add(bits, ord("0"), dtype=np.uint8))
-            fh.write(b"\n")
-        return 0
-    payload, pad = pack_bytes(bits)
-    with open(path, "wb") as fh:
-        fh.write(payload)
-    return pad
+            carry, left = chunk[:0], bits_per_file
+            while left:
+                if not chunk.size:
+                    chunk, degenerate = next(chunks)
+                piece, chunk = chunk[:left], chunk[left:]
+                left -= piece.size
+                if fmt == "ascii-bits":
+                    fh.write(np.add(piece, ord("0"), dtype=np.uint8))
+                    continue
+                if carry.size:
+                    piece = np.concatenate([carry, piece])
+                whole = piece.size - piece.size % 8
+                fh.write(np.packbits(piece[:whole]))
+                carry = piece[whole:]
+            fh.write(b"\n" if fmt == "ascii-bits" else np.packbits(carry))
+    return degenerate
+
+
+def _pad_bits(bits: int, fmt: str) -> int:
+    """Zero bits that fill the last raw byte; ascii-bits pads nothing."""
+    return (-bits) % 8 if fmt == "raw" else 0
 
 
 def cmd_generate(args) -> int:
     key = make_key(args.mu, args.x0)
-    stream = generate_bits(key, args.bits, args.burn_in)
-    health = _health(stream.degenerate)
-    pad = _write_bits(args.output, stream.bits, args.format)
+    chunks = stream_chunks(key, args.bits, args.burn_in, threshold_values)
+    health = _health(_write_bits([args.output], args.bits, chunks, args.format))
     if args.meta:
         meta = {
             "command": "generate",
@@ -159,7 +179,7 @@ def cmd_generate(args) -> int:
             "bits": args.bits,
             "burn_in": args.burn_in,
             "format": args.format,
-            "pad_bits": pad,
+            "pad_bits": _pad_bits(args.bits, args.format),
             **health,
             "kernel": core.KERNEL,
         }
@@ -169,13 +189,13 @@ def cmd_generate(args) -> int:
 
 def cmd_export(args) -> int:
     key = make_key(args.mu, args.x0)
-    segments = segmented_streams(key, args.segments, args.bits, args.burn_in)
+    if args.segments < 1:
+        raise ValueError(f"segments must be >= 1, got {args.segments}")
     ext = "txt" if args.format == "ascii-bits" else "bin"
-    files = []
-    for i, seg in enumerate(segments):
-        path = f"{args.output}_{i:03d}.{ext}"
-        pad = _write_bits(path, seg.bits, args.format)
-        files.append({"file": path, "segment": i, "bits": args.bits, "pad_bits": pad})
+    paths = [f"{args.output}_{i:03d}.{ext}" for i in range(args.segments)]
+    chunks = stream_chunks(key, args.segments * args.bits, args.burn_in, threshold_values)
+    health = _health(_write_bits(paths, args.bits, chunks, args.format))
+    pad = _pad_bits(args.bits, args.format)
     manifest = {
         "command": "export",
         **_key_meta(key),
@@ -183,8 +203,9 @@ def cmd_export(args) -> int:
         "bits_per_segment": args.bits,
         "burn_in": args.burn_in,
         "format": args.format,
-        "files": files,
-        **_health(segments[0].degenerate),
+        "files": [{"file": path, "segment": i, "bits": args.bits, "pad_bits": pad}
+                  for i, path in enumerate(paths)],
+        **health,
         "kernel": core.KERNEL,
     }
     _write_json(f"{args.output}_manifest.json", manifest)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .nist import _gamma_q
 
-_MC_RADIUS_SQ = (256.0 ** 3 - 1.0) ** 2
+_MC_RADIUS_SQ = (2 ** 24 - 1) ** 2
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,32 @@ def _as_bytes(data) -> np.ndarray:
     return arr
 
 
+# Every sum below runs over slices of _SLICE bytes in exact integer arithmetic,
+# so no whole-length float64 or intp copy of the data is made.  Each sum then
+# goes into the float formulas of the classic tool, which it matches bit for
+# bit while it is exact in binary64: the largest, sum x^2, stays below 2^53 up
+# to 2^53 / 255^2, about 1.4 x 10^11 bytes.
+_SLICE = 1 << 16
+_VALUES = np.arange(256, dtype=np.int64)
+
+
+def _counts(arr: np.ndarray) -> np.ndarray:
+    """Occurrences of each of the 256 byte values (intp, as ``np.bincount``)."""
+    counts = np.zeros(256, dtype=np.intp)
+    for i in range(0, arr.size, _SLICE):
+        counts += np.bincount(arr[i:i + _SLICE], minlength=256)
+    return counts
+
+
+def _entropy(counts: np.ndarray, n: int) -> float:
+    p = counts[counts > 0] / n
+    return float(-np.sum(p * np.log2(p)))
+
+
 def byte_entropy(data) -> float:
     """Shannon entropy of the 8-bit symbol distribution, in bits per byte."""
     arr = _as_bytes(data)
-    counts = np.bincount(arr, minlength=256)
-    p = counts[counts > 0] / arr.size
-    return float(-np.sum(p * np.log2(p)))
+    return _entropy(_counts(arr), arr.size)
 
 
 def histogram_uniformity(data) -> tuple[np.ndarray, float, float]:
@@ -61,29 +81,38 @@ def histogram_uniformity(data) -> tuple[np.ndarray, float, float]:
     Returns (counts, chi_square, p_value) with 255 degrees of freedom.
     """
     arr = _as_bytes(data)
-    counts = np.bincount(arr, minlength=256)
+    counts = _counts(arr)
     expected = arr.size / 256
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     return counts, chi2, _gamma_q(255 / 2.0, chi2 / 2.0)
 
 
 def _monte_carlo_pi(arr: np.ndarray) -> tuple[float, float]:
-    groups = arr[:(arr.size // 6) * 6].astype(np.float64).reshape(-1, 6)
+    """Pi from the share of 6-byte groups, as 24-bit points (x, y), with
+    x^2 + y^2 <= (2^24 - 1)^2; and its error in percent."""
+    groups = arr[:(arr.size // 6) * 6].reshape(-1, 6)
     if groups.shape[0] == 0:
         return float("nan"), float("nan")
-    mx = groups[:, 0] * 65536.0 + groups[:, 1] * 256.0 + groups[:, 2]
-    my = groups[:, 3] * 65536.0 + groups[:, 4] * 256.0 + groups[:, 5]
-    inside = int(np.count_nonzero(mx * mx + my * my <= _MC_RADIUS_SQ))
+    inside = 0
+    for i in range(0, groups.shape[0], _SLICE // 6):
+        g = groups[i:i + _SLICE // 6].astype(np.int64)
+        mx = (g[:, 0] << 16) | (g[:, 1] << 8) | g[:, 2]
+        my = (g[:, 3] << 16) | (g[:, 4] << 8) | g[:, 5]
+        inside += int(np.count_nonzero(mx * mx + my * my <= _MC_RADIUS_SQ))
     pi_est = 4.0 * inside / groups.shape[0]
     return pi_est, abs(pi_est - math.pi) / math.pi * 100.0
 
 
-def _serial_correlation(arr: np.ndarray) -> float:
-    x = arr.astype(np.float64)
-    n = float(x.size)
-    t1 = float(np.dot(x, np.roll(x, -1)))
-    t2 = float(x.sum()) ** 2
-    t3 = float(np.dot(x, x))
+def _serial_correlation(arr: np.ndarray, counts: np.ndarray) -> float:
+    """Lag-1 correlation, the last byte paired back to the first."""
+    total = int(_VALUES @ counts)
+    squares = int((_VALUES * _VALUES) @ counts)
+    lagged = int(arr[-1]) * int(arr[0])
+    for i in range(0, arr.size - 1, _SLICE):
+        j = min(i + _SLICE, arr.size - 1)
+        lagged += int(np.multiply(arr[i:j], arr[i + 1:j + 1], dtype=np.int64).sum())
+    n = float(arr.size)
+    t1, t2, t3 = float(lagged), float(total) ** 2, float(squares)
     den = n * t3 - t2
     if den == 0.0:
         return float("nan")
@@ -101,8 +130,7 @@ def ent_battery(data) -> EntReport:
     arr = _as_bytes(data)
     counts, chi2, chi2_p = histogram_uniformity(arr)
     n = arr.size
-    p = counts[counts > 0] / n
-    entropy = float(-np.sum(p * np.log2(p)))
+    entropy = _entropy(counts, n)
     compression = float(round((8.0 - entropy) / 8.0 * 100.0))
     pi_est, pi_err = _monte_carlo_pi(arr)
     return EntReport(
@@ -110,9 +138,9 @@ def ent_battery(data) -> EntReport:
         optimum_compression_pct=compression,
         chi_square_stat=chi2,
         chi_square_percentile=chi2_p * 100.0,
-        arithmetic_mean=float(arr.mean()),
+        arithmetic_mean=float(_VALUES @ counts) / n,
         monte_carlo_pi=pi_est,
         monte_carlo_pi_error_pct=pi_err,
-        serial_correlation=_serial_correlation(arr),
+        serial_correlation=_serial_correlation(arr, counts),
         n_bytes=int(n),
     )

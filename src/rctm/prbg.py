@@ -8,7 +8,7 @@ MSB-first within each byte so exported streams are stable across tools.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -52,27 +52,49 @@ def _as_bits(bits: BitStream | np.ndarray) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
+def threshold_values(values: np.ndarray) -> np.ndarray:
+    """Bits of orbit samples as uint8: 1 where the sample is >= THRESHOLD."""
+    return (values >= THRESHOLD).view(np.uint8)
+
+
+def stream_chunks(key: MapKey, n: int, burn_in: int,
+                  convert: Callable[[np.ndarray], np.ndarray]
+                  ) -> Iterator[tuple[np.ndarray, bool | None]]:
+    """n orbit samples, each mapped to a uint8 by ``convert``, one chunk of
+    ``orbit_chunks`` at a time, so any length runs in flat memory.
+
+    Yields (chunk, flag) pairs.  The flag is None until the last pair, which
+    carries the run's degenerate flag: its last DEGENERATE_TAIL samples are
+    identical (runs shorter than that never are).  As a generator it checks
+    n and burn_in only when the first chunk is drawn.
+    """
+    tail = np.empty(0)
+    done = 0
+    for block in orbit_chunks(key, n, burn_in):
+        done += block.size
+        tail = np.concatenate([tail, block[-DEGENERATE_TAIL:]])[-DEGENERATE_TAIL:]
+        degenerate = None
+        if done == n:
+            degenerate = tail.size == DEGENERATE_TAIL and bool(np.all(tail == tail[0]))
+        yield convert(block), degenerate
+
+
 def orbit_stream(key: MapKey, n: int, burn_in: int,
                  convert: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, bool]:
-    """n orbit samples, each mapped to a uint8 by ``convert``, streamed so long
-    runs stay memory-flat; plus the run's degenerate flag: its last
-    DEGENERATE_TAIL samples are identical (runs shorter than that never are).
-    """
+    """The chunks of :func:`stream_chunks` filled into one uint8 array of n
+    values, plus the run's degenerate flag."""
     _check_counts(n, burn_in)  # before allocating: a negative n must name itself
     out = np.empty(n, dtype=np.uint8)
-    tail = np.empty(0)
     pos = 0
-    for block in orbit_chunks(key, n, burn_in):
-        out[pos:pos + block.size] = convert(block)
-        pos += block.size
-        tail = np.concatenate([tail, block[-DEGENERATE_TAIL:]])[-DEGENERATE_TAIL:]
-    degenerate = tail.size == DEGENERATE_TAIL and bool(np.all(tail == tail[0]))
+    for chunk, degenerate in stream_chunks(key, n, burn_in, convert):
+        out[pos:pos + chunk.size] = chunk
+        pos += chunk.size
     return out, degenerate
 
 
 def generate_bits(key: MapKey, n: int, burn_in: int = 0) -> BitStream:
     """Generate n bits from the orbit of ``key``; deterministic per key."""
-    bits, degenerate = orbit_stream(key, n, burn_in, lambda block: block >= THRESHOLD)
+    bits, degenerate = orbit_stream(key, n, burn_in, threshold_values)
     return BitStream(bits=bits, key_fingerprint=key.fingerprint(), degenerate=degenerate)
 
 
@@ -119,8 +141,11 @@ def unpack_bits(data: bytes, n_bits: int | None = None) -> np.ndarray:
 
 def quantize_values(values: np.ndarray) -> np.ndarray:
     """8-bit quantization floor(x * 256) with 1.0 clamped to 255."""
-    v = np.floor(np.asarray(values, dtype=np.float64) * 256.0)
-    return np.minimum(v, 255.0).astype(np.uint8)
+    v = np.array(values, dtype=np.float64)  # the one float temporary, then in place
+    v *= 256.0
+    np.floor(v, out=v)
+    np.minimum(v, 255.0, out=v)
+    return v.astype(np.uint8)
 
 
 def generate_quantized(key: MapKey, n: int, burn_in: int = 0) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import rctm
 from rctm import analysis, cli, dynamics
 from rctm.cli import main
 from rctm.core import make_key
-from rctm.prbg import generate_bits, pack_bytes, unpack_bits
+from rctm.prbg import generate_bits, pack_bytes, segmented_streams, unpack_bits
 
 
 def run(argv):
@@ -115,6 +116,68 @@ class TestExport:
                     "--segments", 0, "-o", prefix]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not list(tmp_path.iterdir())
+
+
+class TestStreamedWriters:
+    """generate and export write each orbit chunk as it arrives; the files are
+    those of packing or printing the library's whole stream."""
+
+    # 13 bits fill no chunk; 2^18 + 3 ends 3 bits into the second chunk
+    @pytest.mark.parametrize("bits", [13, 2**18 + 3])
+    @pytest.mark.parametrize("burn_in", [0, 1000])
+    def test_generate_matches_the_library(self, tmp_path, bits, burn_in):
+        stream = generate_bits(make_key(61.81, 0.23), bits, burn_in)
+        raw, txt = tmp_path / "s.bin", tmp_path / "s.txt"
+        for fmt, out in (("raw", raw), ("ascii-bits", txt)):
+            assert run(["generate", *KEY, "--bits", bits, "--burn-in", burn_in,
+                        "--format", fmt, "--meta", "-o", out]) == 0
+        assert raw.read_bytes() == pack_bytes(stream)[0]
+        assert txt.read_bytes() == (stream.bits + ord("0")).tobytes() + b"\n"
+        assert json.loads((tmp_path / "s.bin.meta.json").read_text())["pad_bits"] == (-bits) % 8
+        assert json.loads((tmp_path / "s.txt.meta.json").read_text())["pad_bits"] == 0
+
+    # segment boundaries at bits 300001 and 600002: inside a byte, and inside
+    # the second and third orbit chunks
+    @pytest.mark.parametrize("fmt, ext, pad", [("raw", "bin", 7), ("ascii-bits", "txt", 0)])
+    def test_export_segments_cut_mid_byte_and_mid_chunk(self, tmp_path, fmt, ext, pad):
+        assert run(["export", *KEY, "--bits", 300001, "--segments", 3, "--burn-in", 1000,
+                    "--format", fmt, "-o", tmp_path / "seg"]) == 0
+        streams = segmented_streams(make_key(61.81, 0.23), 3, 300001, burn_in=1000)
+        for i, stream in enumerate(streams):
+            expected = (pack_bytes(stream)[0] if fmt == "raw"
+                        else (stream.bits + ord("0")).tobytes() + b"\n")
+            assert (tmp_path / f"seg_{i:03d}.{ext}").read_bytes() == expected
+        manifest = json.loads((tmp_path / "seg_manifest.json").read_text())
+        assert [f["pad_bits"] for f in manifest["files"]] == [pad] * 3
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--bits", 0, "--meta"], ["generate", "--bits", -8, "--meta"],
+        ["generate", "--bits", 100, "--burn-in", -1, "--meta"],
+        ["export", "--bits", 0], ["export", "--bits", -8, "--segments", 2],
+        ["export", "--bits", 100, "--burn-in", -1],
+        ["export", "--bits", 100, "--segments", 0], ["export", "--bits", 100, "--segments", -2],
+    ])
+    def test_invalid_counts_exit_1_before_any_file(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, *KEY, "-o", "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["generate", "export"])
+    @pytest.mark.parametrize("fmt", ["raw", "ascii-bits"])
+    def test_memory_does_not_grow_with_bits(self, tmp_path, command, fmt):
+        peaks = []
+        for bits in (2 * 10**6, 8 * 10**6):
+            tracemalloc.start()
+            try:
+                assert run([command, *KEY, "--bits", bits, "--format", fmt,
+                            "-o", tmp_path / f"out{bits}"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # holding the stream at one byte per bit would add 6 MB
+        assert abs(peaks[1] - peaks[0]) < 2**20
 
 
 class TestDynamicsCommand:

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from rctm import ent
 from rctm.core import make_key
 from rctm.ent import byte_entropy, ent_battery, histogram_uniformity
 from rctm.prbg import generate_quantized
@@ -124,3 +126,63 @@ def test_input_of_other_than_one_dimension_is_refused_by_name(func, shape):
     data = np.zeros(shape, dtype=np.uint8)
     with pytest.raises(ValueError, match=f"^byte input must be one-dimensional, got {len(shape)} "):
         func(data)
+
+
+def float_formulas(data: np.ndarray) -> tuple:
+    """Counts, mean, Monte Carlo pi and serial correlation as the classic tool
+    computes them: from float64 copies of the whole byte sequence."""
+    x = data.astype(np.float64)
+    groups = x[:(x.size // 6) * 6].reshape(-1, 6)
+    pi = float("nan")
+    if groups.shape[0]:
+        mx = groups[:, 0] * 65536.0 + groups[:, 1] * 256.0 + groups[:, 2]
+        my = groups[:, 3] * 65536.0 + groups[:, 4] * 256.0 + groups[:, 5]
+        inside = int(np.count_nonzero(mx * mx + my * my <= (256.0 ** 3 - 1.0) ** 2))
+        pi = 4.0 * inside / groups.shape[0]
+    n = float(x.size)
+    t1 = float(np.dot(x, np.roll(x, -1)))
+    t2 = float(x.sum()) ** 2
+    t3 = float(np.dot(x, x))
+    den = n * t3 - t2
+    serial = float("nan") if den == 0.0 else (n * t1 - t2) / den
+    return np.bincount(data, minlength=256).tolist(), float(data.mean()), pi, serial
+
+
+# around one slice, and the Monte Carlo slice of _SLICE // 6 six-byte groups
+SLICE_SIZES = sorted({s + d for s in (ent._SLICE, 2 * ent._SLICE, ent._SLICE // 6 * 6)
+                      for d in (-7, -6, -1, 0, 1, 6, 7)})
+RNG = np.random.default_rng(15)
+EXACTNESS_INPUTS = {
+    "constant": np.full(1000, 77, dtype=np.uint8),
+    "all_255": np.full(1000, 255, dtype=np.uint8),
+    "alternating_0_255": np.tile(np.array([0, 255], dtype=np.uint8), 500),
+    "random": RNG.integers(0, 256, size=300_001, dtype=np.uint8),
+    **{f"random_{n}": RNG.integers(0, 256, size=n, dtype=np.uint8) for n in range(1, 14)},
+    **{f"all_255_{n}": np.full(n, 255, dtype=np.uint8) for n in range(1, 14)},
+    **{f"slice_{n}": RNG.integers(0, 256, size=n, dtype=np.uint8) for n in SLICE_SIZES},
+}
+
+
+@pytest.mark.parametrize("name", EXACTNESS_INPUTS)
+def test_integer_sums_equal_the_float_formulas_bit_for_bit(name):
+    data = EXACTNESS_INPUTS[name]
+    counts, mean, pi, serial = float_formulas(data)
+    report = ent_battery(data)
+    assert histogram_uniformity(data)[0].tolist() == counts
+    got = (report.arithmetic_mean, report.monte_carlo_pi, report.serial_correlation)
+    # hex strings: equal bits, NaN included
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in (mean, pi, serial)]
+    if np.all(data == data[0]):  # a constant sequence has no serial correlation
+        assert math.isnan(report.serial_correlation)
+
+
+def test_battery_traces_little_memory_beyond_its_input():
+    data = generate_quantized(make_key(61.81, 0.23), 10**6, burn_in=1000)
+    tracemalloc.start()
+    try:
+        ent_battery(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # float64 copies of the input alone would be 8 MB each
+    assert peak < 2 * 2**20
