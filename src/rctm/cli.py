@@ -233,8 +233,8 @@ def cmd_analyze_dynamics(args) -> int:
         if result.skipped_mu:
             print(f"skipped unsupported mu values: {result.skipped_mu}", file=sys.stderr)
         header, rows = ["mu", "x"], list(zip(result.mu.tolist(), result.x.tolist()))
-        doc = {"what": "bifurcation", "x0": args.x0, "settle": result.settle,
-               "keep": result.keep, "skipped_mu": result.skipped_mu,
+        doc = {"what": "bifurcation", "x0": args.x0, "burn_in": result.settle,
+               "iterations": result.keep, "skipped_mu": result.skipped_mu,
                "points": [list(row) for row in rows]}
     elif args.what == "lyapunov":
         estimates = dynamics.lyapunov_grid(grid, args.x0, **kwargs)

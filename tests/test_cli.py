@@ -486,7 +486,7 @@ class TestTuningOptions:
             docs[name] = out.read_bytes()
         assert docs["default"] == docs["explicit"]
         short = json.loads(docs["short"])
-        assert (short["settle"], short["keep"], len(short["points"])) == (3, 7, 7)
+        assert (short["burn_in"], short["iterations"], len(short["points"])) == (3, 7, 7)
 
     @pytest.mark.parametrize("argv, recorded", [
         (["sweep", "--kind", "entropy", *KEY],

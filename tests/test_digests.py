@@ -223,7 +223,7 @@ PINNED = {
     "cli/test_ent_report": "73fa1308fb91dcf5e4a0ac5aa9649f41a37b9ed8e8c932d77cab08485990dd34",
     "cli/test_nist_report": "ed658b83cbc2ceec48a7f02531c7c91bac7ab75e1e5544dcba4ab28e4c0ad53b",
     "cli/dynamics_bifurcation_csv": "4aa08551784ce3e0dd560838969055f1e017ed3bca0f6e4fe4630ec4b3070fe8",
-    "cli/dynamics_bifurcation_json": "32ff3f996d1e805ef8c7acef049949bc003d118ed13ee3c86b7c1be48d4da34e",
+    "cli/dynamics_bifurcation_json": "e28f86bb5743efc1118c88aaa0245e328f900362bf8c5c49cc401e9ad0db2c28",
     "cli/dynamics_lyapunov_csv": "f17fa38cfcb860fa9ded7cfea4a2800dc15303e625be24b215ecc9684773afac",
     "cli/dynamics_lyapunov_json": "00ff1b40ef408271ad24ddef7533f00e35af1a36226034344e59503532571ea9",
     "cli/dynamics_coverage_csv": "eeaf130aa9d8b9dc9f740269fcad27d690369d7d78fccdeffa768f2415b66a49",
