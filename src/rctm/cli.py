@@ -145,7 +145,7 @@ def _write_bits(paths: list[str], bits_per_file: int, chunks, fmt: str) -> bool:
     chunk, degenerate = next(chunks)  # checks the counts before any file is opened
     for path in paths:
         with open(path, "wb") as fh:
-            carry, left = chunk[:0], bits_per_file
+            carry, left = np.empty(0, dtype=np.uint8), bits_per_file
             while left:
                 if not chunk.size:
                     chunk, degenerate = next(chunks)
