@@ -47,6 +47,10 @@ SUBSET_MIN_BITS = max(_MIN_BITS.values())
 # entries emitted per stream: serial contributes its second p-value too
 ENTRY_NAMES = TEST_NAMES[:8] + ("serial_2", "dft")
 
+# bits (or spectral bins) per pass of the sliced loops: a slice's temporaries
+# stay small and cache-resident however long the stream
+_SLICE = 2 ** 16
+
 
 @dataclass(frozen=True)
 class TestOutcome:
@@ -167,7 +171,7 @@ def _require(name: str, bits) -> np.ndarray:
 def monobit(bits) -> tuple[float, float]:
     """Frequency test: |sum of +/-1 bits| / sqrt(n) against erfc."""
     b = _require("monobit", bits)
-    s_obs = abs(2 * int(b.sum()) - b.size) / math.sqrt(b.size)
+    s_obs = abs(2 * int(np.count_nonzero(b)) - b.size) / math.sqrt(b.size)
     return s_obs, math.erfc(s_obs / math.sqrt(2.0))
 
 
@@ -190,10 +194,12 @@ def runs(bits) -> tuple[float, float]:
     """
     b = _require("runs", bits)
     n = b.size
-    pi = float(b.mean())
+    pi = int(np.count_nonzero(b)) / n
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
         return float("nan"), 0.0
-    v = 1 + int(np.count_nonzero(np.diff(b)))
+    # one more run at each change; each window also holds the next slice's first bit
+    v = 1 + sum(int(np.count_nonzero(w[1:] != w[:-1]))
+                for w in (b[i:i + _SLICE + 1] for i in range(0, n - 1, _SLICE)))
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
     return float(v), math.erfc(num / (2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)))
 
@@ -217,10 +223,23 @@ def longest_run(bits) -> tuple[float, float]:
     block = 8 if n < 6272 else (128 if n < 750000 else 10000)
     dof, (lo, hi), probs = _LONGEST_RUN_TABLES[block]
     nblocks = n // block
+    counts = np.zeros(len(probs), dtype=np.intp)
+    step = max(1, _SLICE // block) * block  # whole blocks per slice
+    for start in range(0, nblocks * block, step):
+        longest = _longest_runs(b[start:min(start + step, nblocks * block)], block)
+        counts += np.bincount(np.clip(longest, lo, hi) - lo, minlength=len(probs))
+    expected = nblocks * np.asarray(probs)
+    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    return chi2, _gamma_q(dof / 2.0, chi2 / 2.0)
+
+
+def _longest_runs(b: np.ndarray, block: int) -> np.ndarray:
+    """The longest run of ones in each of the whole blocks that make up b."""
+    nblocks = b.size // block
     # a zero on both sides of every block keeps each run inside its block, so
     # the changes along the flat array alternate: a run starts, then it ends
     padded = np.zeros((nblocks, block + 2), dtype=np.uint8)
-    padded[:, 1:-1] = b[:nblocks * block].reshape(nblocks, block)
+    padded[:, 1:-1] = b.reshape(nblocks, block)
     flat = padded.ravel()
     edges = np.flatnonzero(flat[1:] != flat[:-1])
     starts, ends = edges[0::2], edges[1::2]
@@ -229,11 +248,7 @@ def longest_run(bits) -> tuple[float, float]:
     first = np.searchsorted(starts, np.arange(nblocks) * (block + 2))
     longest = np.maximum.reduceat(np.append(ends - starts, 0), first)
     longest[np.diff(first, append=starts.size) == 0] = 0
-    classes = np.clip(longest, lo, hi) - lo
-    counts = np.bincount(classes, minlength=len(probs))
-    expected = nblocks * np.asarray(probs)
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    return chi2, _gamma_q(dof / 2.0, chi2 / 2.0)
+    return longest
 
 
 # the normal CDF rounds to exactly 1.0 from 8.3 and to exactly 0.0 below -38.5
@@ -270,18 +285,38 @@ def _cusum_p(z: int, n: int) -> float:
     return min(max(p, 0.0), 1.0)
 
 
+def _byte_walks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each byte value, the +/-1 walk over its 8 bits, most significant
+    first: its net step, and its highest and lowest partial sums less the net."""
+    steps = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int32)
+    walks = np.cumsum(2 * steps - 1, axis=1, dtype=np.int32)
+    net = walks[:, -1]
+    return net, walks.max(axis=1) - net, walks.min(axis=1) - net
+
+
+_BYTE_NET, _BYTE_TOP, _BYTE_BOTTOM = _byte_walks()
+
+
 def _cusum(bits, reverse: bool) -> tuple[float, float]:
     b = _require("cusum_reverse" if reverse else "cusum_forward", bits)
     n = b.size
-    # the +/-1 walk S_k, k = 1..n, built in place; |S_k| <= n fits int32 below 2^31 bits
-    walk = b.astype(np.int32 if n < 2**31 else np.int64)
-    walk <<= 1
-    walk -= 1
-    np.cumsum(walk, out=walk)
-    # forward: z = max |S_k|; reverse: the partial sums of the reversed bits
-    # are S_n - S_j for j = 0..n-1, with S_0 = 0, so nothing is reversed
-    end, walk = (int(walk[-1]), walk[:-1]) if reverse else (0, walk)
-    z = max(max(0, int(walk.max())) - end, end - min(0, int(walk.min())))
+    # forward: z = max |S_k| over the +/-1 walk S_k, k = 0..n, S_0 = 0; reverse:
+    # the partial sums of the reversed bits are S_n - S_j for j = 0..n-1, so
+    # nothing is reversed, but S_n stays out of the extremes: the last bit is
+    # left to the tail walk below
+    whole = (n - reverse) // 8 * 8
+    packed = np.packbits(b[:whole])
+    # S at the end of each whole byte; |S_k| <= n fits int32 below 2^31 bits
+    ends = np.cumsum(_BYTE_NET[packed], dtype=np.int32 if n < 2**31 else np.int64)
+    top = int((ends + _BYTE_TOP[packed]).max(initial=0))
+    bottom = int((ends + _BYTE_BOTTOM[packed]).min(initial=0))
+    s = int(ends[-1]) if ends.size else 0
+    tail = b[whole:].tolist()
+    for bit in tail[:len(tail) - reverse]:
+        s += 2 * bit - 1
+        top, bottom = max(top, s), min(bottom, s)
+    end = s + 2 * tail[-1] - 1 if reverse else 0
+    z = max(top - end, end - bottom)
     return float(z), _cusum_p(z, n)
 
 
@@ -301,13 +336,21 @@ def _pattern_counts(b: np.ndarray, m: int) -> list[np.ndarray]:
     Size m is counted; with wraparound each smaller size is the exact
     marginal of the next (pattern p counts patterns 2p and 2p+1)."""
     n = b.size
-    ext = np.concatenate([b, b[:m - 1]]) if m > 1 else b
     # the narrowest index that holds m bits
-    idx = ext[:n].astype(np.uint8 if m <= 8 else (np.uint16 if m <= 16 else np.int64))
-    for j in range(1, m):
-        idx <<= 1
-        idx |= ext[j:j + n]
-    counts = [np.bincount(idx, minlength=2 ** m)]
+    dtype = np.uint8 if m <= 8 else (np.uint16 if m <= 16 else np.int64)
+    total = np.zeros(2 ** m, dtype=np.intp)
+    for start in range(0, n, _SLICE):
+        size = min(_SLICE, n - start)
+        # the slice's patterns read m - 1 bits past it, wrapping past the stream's end
+        ext = b[start:start + size + m - 1]
+        if ext.size < size + m - 1:
+            ext = np.concatenate([ext, b[:size + m - 1 - ext.size]])
+        idx = ext[:size].astype(dtype)
+        for j in range(1, m):
+            idx <<= 1
+            idx |= ext[j:j + size]
+        total += np.bincount(idx, minlength=2 ** m)
+    counts = [total]
     for _ in range(m):
         counts.append(counts[-1].reshape(-1, 2).sum(axis=1))
     return counts[::-1]
@@ -369,30 +412,50 @@ def serial(bits, m: int = 2) -> tuple[tuple[float, float], tuple[float, float]]:
     return (d1, p1), (d2, p2)
 
 
-def dft(bits) -> tuple[float, float]:
+def spectral_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Buffers for :func:`dft` on n-bit streams: the n +/-1 values (float64)
+    and their n/2 + 1 real-input transform terms (complex128)."""
+    return np.empty(n, dtype=np.float64), np.empty(n // 2 + 1, dtype=np.complex128)
+
+
+def dft(bits, *, workspace: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[float, float]:
     """Spectral test: count of DFT peaks below the 95% threshold.
 
     Uses the moduli of the first n/2 transform terms and the corrected
-    variance n * 0.95 * 0.05 / 4.
+    variance n * 0.95 * 0.05 / 4.  ``workspace``, from
+    ``spectral_workspace(n)``, is overwritten; without it the call makes
+    its own.  A battery passes one to every stream.
     """
     b = _require("dft", bits)
     n = b.size
-    x = 2.0 * b.astype(np.float64) - 1.0
-    mods = np.abs(np.fft.rfft(x))[:n // 2]
+    x, spec = spectral_workspace(n) if workspace is None else workspace
+    if x.size != n:
+        raise ValueError(f"workspace is for {x.size}-bit streams, got {n} bits")
+    np.multiply(b, 2.0, out=x)
+    x -= 1.0
+    np.fft.rfft(x, out=spec)
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
     n0 = 0.95 * n / 2.0
-    n1 = int(np.count_nonzero(mods < threshold))
+    half = n // 2
+    n1 = sum(int(np.count_nonzero(np.abs(spec[i:min(i + _SLICE, half)]) < threshold))
+             for i in range(0, half, _SLICE))
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     return d, math.erfc(abs(d) / math.sqrt(2.0))
 
 
-def stream_outcomes(bits) -> list[TestOutcome]:
-    """All subset tests on one stream, serial's second p-value as its own row."""
+def stream_outcomes(bits, *, workspace: tuple[np.ndarray, np.ndarray] | None = None
+                    ) -> list[TestOutcome]:
+    """All subset tests on one stream, serial's second p-value as its own row.
+
+    ``workspace`` goes to :func:`dft`.
+    """
     b = _as_bits(bits)
     if b.size < SUBSET_MIN_BITS:
         raise ValueError(f"the NIST subset needs at least {SUBSET_MIN_BITS} bits, got {b.size}")
-    # looked up when called, not kept in a table, so wrappers set on the module see every call
-    results = [globals()[name](b) for name in TEST_NAMES]
+    # looked up when called, not kept in a table, so wrappers set on the module see every
+    # call; dft, the last test, takes the workspace
+    results = [globals()[name](b) for name in TEST_NAMES[:-1]]
+    results.append(globals()["dft"](b, workspace=workspace))
     results[7:8] = results[7]  # serial's two results are the serial and serial_2 rows
     return [TestOutcome(entry, stat, p, p >= ALPHA)
             for entry, (stat, p) in zip(ENTRY_NAMES, results)]
@@ -426,8 +489,10 @@ def nist_battery(streams: Sequence[BitStream | np.ndarray]) -> TestReport:
     if len(lengths) != 1:
         raise ValueError(f"battery needs one or more streams of one length, got lengths {lengths}")
     per_test: dict[str, list[bool]] = {name: [] for name in ENTRY_NAMES}
+    # one spectral workspace serves every stream
+    workspace = spectral_workspace(lengths[0])
     for s in streams:
-        for row in stream_outcomes(s):
+        for row in stream_outcomes(s, workspace=workspace):
             per_test[row.test].append(row.passed)
     m = len(streams)
     bound = min_proportion(m)

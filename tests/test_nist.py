@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -29,6 +30,13 @@ from rctm.prbg import generate_bits, segmented_streams
 
 def bits_of(text):
     return np.frombuffer(text.replace(" ", "").encode(), dtype=np.uint8) - ord("0")
+
+
+def stream(n, density):
+    """n seeded bits, each 1 with probability density, or 0101... for "alternating"."""
+    if density == "alternating":
+        return (np.arange(n) % 2).astype(np.uint8)
+    return (np.random.default_rng(n).random(n) < density).astype(np.uint8)
 
 
 # 100-bit reference vector used by several known-answer checks
@@ -139,12 +147,15 @@ class TestLongestRun:
         _, p = longest_run(np.ones(10_000, dtype=np.uint8))
         assert p < 1e-6
 
-    # every block size, partial last blocks, and ones densities that fill
-    # the lowest and the highest run-length classes
+    # every block size, partial last blocks, ones densities that fill the
+    # lowest and the highest run-length classes, and lengths on both sides of
+    # the 2^16-bit slices
     @pytest.mark.parametrize("n, density", [(128, 0.5), (1003, 0.3), (6271, 0.8),
-                                            (6272, 0.5), (100_017, 0.7), (750_000, 0.5)])
+                                            (6272, 0.5), (100_017, 0.7), (750_000, 0.5),
+                                            (2**16 - 1, 0.5), (2**16, 0.6), (2**16 + 1, 0.5),
+                                            (2**17 + 3, 0.4)])
     def test_matches_per_block_loop(self, n, density):
-        bits = (np.random.default_rng(n).random(n) < density).astype(np.uint8)
+        bits = stream(n, density)
         block = 8 if n < 6272 else (128 if n < 750000 else 10000)
         dof, (lo, hi), probs = nist._LONGEST_RUN_TABLES[block]
         counts = [0] * len(probs)
@@ -184,11 +195,19 @@ class TestCusum:
         assert stat == peak
 
     # biased streams end the walk far from 0, so the reverse maximum is not
-    # the forward one
+    # the forward one; lengths 8k - 1, 8k and 8k + 1 end in a 7-bit, an empty
+    # and a 1-bit tail after the whole bytes, and the constant and
+    # alternating streams put the extremes at the ends and inside every byte
     @pytest.mark.parametrize("n, density", [(2, 1.0), (3, 0.5), (1000, 0.5),
-                                            (5000, 0.4), (5001, 0.6), (20_000, 0.55)])
+                                            (5000, 0.4), (5001, 0.6), (20_000, 0.55),
+                                            (7, 0.5), (8, 0.5), (9, 0.5), (15, 0.3), (16, 0.7),
+                                            (17, 0.5), (4095, 0.45), (4096, 0.55), (4097, 0.5),
+                                            (2**16 - 1, 0.5), (2**16, 0.5), (2**16 + 1, 0.5),
+                                            (2**17 + 3, 0.49), (8, 1.0), (1001, 1.0),
+                                            (8, 0.0), (1001, 0.0), (15, "alternating"),
+                                            (16, "alternating"), (1001, "alternating")])
     def test_statistics_match_the_literal_walks(self, n, density):
-        bits = (np.random.default_rng(n).random(n) < density).astype(np.uint8)
+        bits = stream(n, density)
         for test, values in ((cusum_forward, bits.tolist()),
                              (cusum_reverse, bits[::-1].tolist())):
             walk = peak = 0
@@ -228,10 +247,16 @@ class TestCusum:
             test(np.ones(1, dtype=np.uint8))
 
 
-# pattern sizes on both sides of each index dtype's width
-@pytest.mark.parametrize("m", [8, 9, 16, 17])
-def test_pattern_counts_match_a_window_count(m):
-    bits = np.random.default_rng(m).integers(0, 2, size=3000, dtype=np.uint8)
+# pattern sizes on both sides of each index dtype's width, and stream
+# lengths on both sides of the 2^16-bit slices, whose last one wraps
+PATTERN_CASES = [(8, 3000), (9, 3000), (16, 3000), (17, 3000),
+                 (3, 2**16 - 1), (3, 2**16), (17, 2**16 + 1), (9, 2**17 + 3)]
+
+
+@pytest.mark.parametrize("m, n", PATTERN_CASES,
+                         ids=[str(m) if n == 3000 else f"{m}-{n}" for m, n in PATTERN_CASES])
+def test_pattern_counts_match_a_window_count(m, n):
+    bits = np.random.default_rng(m).integers(0, 2, size=n, dtype=np.uint8)
     wrapped = bits.tolist() + bits[:m - 1].tolist()
     counts = nist._pattern_counts(bits, m)
     assert len(counts) == m + 1
@@ -346,6 +371,38 @@ class TestDft:
         bits = np.tile([0, 1], 5000).astype(np.uint8)
         _, p = dft(bits)
         assert p < 1e-10
+
+    def test_reused_workspace_equals_fresh_buffers(self):
+        # the second stream must not see anything the first left in the buffers
+        rng = np.random.default_rng(16)
+        first = rng.integers(0, 2, size=2**17 + 3, dtype=np.uint8)
+        second = (rng.random(first.size) < 0.48).astype(np.uint8)
+        workspace = nist.spectral_workspace(first.size)
+        assert dft(first, workspace=workspace) == dft(first)
+        assert dft(second, workspace=workspace) == dft(second)
+        assert dft(first) != dft(second)
+
+    def test_workspace_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match="^workspace is for 1000-bit streams, got 1001 bits"):
+            dft(np.ones(1001, dtype=np.uint8), workspace=nist.spectral_workspace(1000))
+
+
+def test_megabit_tests_allocate_no_stream_sized_temporaries():
+    # a 10^6-bit stream is 1 MB of uint8; each test's temporaries stay below
+    # 2 MiB (the spectral test, given its workspace, below 1 MiB), where
+    # whole-stream passes in int32, intp or float64 took 4 to 19 MiB
+    bits = np.random.default_rng(17).integers(0, 2, size=10**6, dtype=np.uint8)
+    workspace = nist.spectral_workspace(bits.size)
+    for name in nist.TEST_NAMES:
+        test = getattr(nist, name)
+        kwargs = {"workspace": workspace} if name == "dft" else {}
+        tracemalloc.start()
+        try:
+            test(bits, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2**20 if name == "dft" else 2 * 2**20), (name, peak)
 
 
 class TestDispatch:
