@@ -168,8 +168,15 @@ def _pad_bits(bits: int, fmt: str) -> int:
     return (-bits) % 8 if fmt == "raw" else 0
 
 
+def _check_bits(bits: int) -> None:
+    """Refuse a --bits count below 1 under the option's name, before any product of it."""
+    if bits < 1:
+        raise ValueError(f"--bits must be >= 1, got {bits}")
+
+
 def cmd_generate(args) -> int:
     key = make_key(args.mu, args.x0)
+    _check_bits(args.bits)
     chunks = stream_chunks(key, args.bits, args.burn_in, threshold_values)
     health = _health(_write_bits([args.output], args.bits, chunks, args.format))
     if args.meta:
@@ -189,6 +196,7 @@ def cmd_generate(args) -> int:
 
 def cmd_export(args) -> int:
     key = make_key(args.mu, args.x0)
+    _check_bits(args.bits)
     if args.segments < 1:
         raise ValueError(f"segments must be >= 1, got {args.segments}")
     ext = "txt" if args.format == "ascii-bits" else "bin"

@@ -162,6 +162,10 @@ class TestStreamedWriters:
         assert run([*argv, *KEY, "-o", "out"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        bits = argv[argv.index("--bits") + 1]
+        if bits < 1:
+            # the option and the value given, not their product with --segments
+            assert err == f"error: --bits must be >= 1, got {bits}\n"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["generate", "export"])
