@@ -224,10 +224,11 @@ def longest_run(bits) -> tuple[float, float]:
     block = 8 if n < 6272 else (128 if n < 750000 else 10000)
     dof, (lo, hi), probs = _LONGEST_RUN_TABLES[block]
     nblocks = n // block
+    whole = b[:nblocks * block]
     counts = np.zeros(len(probs), dtype=np.intp)
     step = max(1, _SLICE // block) * block  # whole blocks per slice
-    for start in range(0, nblocks * block, step):
-        longest = _longest_runs(b[start:min(start + step, nblocks * block)], block)
+    for start in range(0, whole.size, step):
+        longest = _longest_runs(whole[start:start + step], block)
         counts += np.bincount(np.clip(longest, lo, hi) - lo, minlength=len(probs))
     expected = nblocks * np.asarray(probs)
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
@@ -287,8 +288,9 @@ def _cusum_p(z: int, n: int) -> float:
 
 
 def _byte_walks() -> np.ndarray:
-    """For each byte value, the +/-1 walk over its 8 bits, most significant
-    first: its net step, and its highest and lowest partial sums less the net.
+    """Three rows over the byte values, for the +/-1 walk over a byte's 8 bits,
+    most significant first: its net step, and its highest and its lowest
+    partial sum, each less the net.
 
     Built in Python: the NumPy routines that could build it would page in
     their code at import, about 0.26 MiB, for programs that run no cusum.
@@ -310,14 +312,14 @@ def _cusum(bits, reverse: bool) -> tuple[float, float]:
     # the partial sums of the reversed bits are S_n - S_j for j = 0..n-1, so
     # nothing is reversed, but S_n stays out of the extremes: the last bit is
     # left to the tail walk below
-    whole = (n - reverse) // 8 * 8
-    packed = np.packbits(b[:whole])
+    head = (n - reverse) // 8 * 8  # the bits walked a byte at a time
+    packed = np.packbits(b[:head])
     # S at the end of each whole byte; |S_k| <= n fits int32 below 2^31 bits
     ends = np.cumsum(_BYTE_NET[packed], dtype=np.int32 if n < 2**31 else np.int64)
     top = int((ends + _BYTE_TOP[packed]).max(initial=0))
     bottom = int((ends + _BYTE_BOTTOM[packed]).min(initial=0))
     s = int(ends[-1]) if ends.size else 0
-    tail = b[whole:].tolist()
+    tail = b[head:].tolist()
     for bit in tail[:len(tail) - reverse]:
         s += 2 * bit - 1
         top, bottom = max(top, s), min(bottom, s)
@@ -442,9 +444,9 @@ def dft(bits, *, workspace: tuple[np.ndarray, np.ndarray] | None = None) -> tupl
     np.fft.rfft(x, out=spec)
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
     n0 = 0.95 * n / 2.0
-    half = n // 2
-    n1 = sum(int(np.count_nonzero(np.abs(spec[i:min(i + _SLICE, half)]) < threshold))
-             for i in range(0, half, _SLICE))
+    terms = spec[:n // 2]
+    n1 = sum(int(np.count_nonzero(np.abs(terms[i:i + _SLICE]) < threshold))
+             for i in range(0, terms.size, _SLICE))
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     return d, math.erfc(abs(d) / math.sqrt(2.0))
 
