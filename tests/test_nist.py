@@ -388,9 +388,10 @@ class TestDft:
 
 
 def test_megabit_tests_allocate_no_stream_sized_temporaries():
-    # a 10^6-bit stream is 1 MB of uint8; each test's temporaries stay below
-    # 2 MiB (the spectral test, given its workspace, below 1 MiB), where
-    # whole-stream passes in int32, intp or float64 took 4 to 19 MiB
+    # a 10^6-bit stream is 1 MB of uint8, and one pass over all of it in
+    # int32, intp or float64 would allocate 4 to 8 MB; each test's
+    # temporaries stay below 2 MiB (the spectral test's, given its
+    # workspace, below 1 MiB)
     bits = np.random.default_rng(17).integers(0, 2, size=10**6, dtype=np.uint8)
     workspace = nist.spectral_workspace(bits.size)
     for name in nist.TEST_NAMES:
