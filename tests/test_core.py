@@ -330,15 +330,17 @@ class TestKernel:
             assert np.array_equal(chunks, expected[10:])
 
     def test_one_step_equals_reference_step_at_edge_states(self, kernel):
-        """One loop step from every state where a min/truncate rewrite of the
-        reflection and the floor could part from the reference branch and floor."""
+        """One and two loop steps from every state where a min/round rewrite of
+        the reflection and the floor, or the reflection carried from one step
+        to the next, could part from the reference branch and floor."""
         near = lambda v: (np.nextafter(v, -1.0), v, np.nextafter(v, 2.0))
         keys = random_keys(12, seed=5) + [
             make_key(mu, 0.3) for mu in (float(np.nextafter(2.0, 3.0)), 2.0 + 2.0 ** -30, 2.5,
                                          float(np.nextafter(3.0, 2.0)), 61.81, 97.3, 99.99,
                                          float(np.nextafter(100.0, 0.0)))
         ] + [ctm_key(mu, 0.3) for mu in (2.0, float(np.nextafter(2.0, 0.0)), 1.7, 1.0, 0.9)]
-        on_integer = 0
+        on_integer, on_half, below_half = 0, 0, 0
+        ties = {0: 0, 1: 0}  # t exactly k + 1/2, by the parity of k
         for key in keys:
             states = {0.0, 1.0, *near(0.5), *near(key.n1), *near(key.n2)}
             # mu*x and mu*(1-x) on each integer up to mu/2 and one ulp under it
@@ -349,6 +351,23 @@ class TestKernel:
                         if t in (k, np.nextafter(k, 0.0)):
                             states.add(x)
                             on_integer += 1
+            # t on k + 1/2 and one ulp on either side: the ties of rounding t
+            # to an integer with 2^52, where t - round(t) is +-1/2
+            for k in range(int(key.mu / 2 + 0.5)):
+                for base in ((k + 0.5) / key.mu, 1.0 - (k + 0.5) / key.mu):
+                    for x in (*near(np.nextafter(base, -1.0)), *near(np.nextafter(base, 2.0))):
+                        t = key.mu * (x if x < 0.5 else 1.0 - x)
+                        if t in near(k + 0.5):
+                            states.add(x)
+                            on_half += 1
+                            ties[k % 2] += t == k + 0.5
+            # t in (0, 1/2), which rounds to 0
+            for x in (5e-324, 2.0 ** -1022, 1e-300, 0.25 / key.mu, 1.0 - 0.25 / key.mu,
+                      1.0 - 2.0 ** -53):
+                t = key.mu * (x if x < 0.5 else 1.0 - x)
+                if 0.0 < t < 0.5:
+                    states.add(x)
+                    below_half += 1
             # every state is one row of a single n = 1 call, so the states
             # pass through the four-lane groups and the remainder loop
             xs = sorted(float(x) for x in states if 0.0 <= x <= 1.0)
@@ -357,7 +376,14 @@ class TestKernel:
             assert out[:, 0].tolist() == xs
             for x, y in zip(xs, got.tolist()):
                 assert y.hex() == rctm_step(x, key).hex(), (key.mu, x.hex())
+            # a second step reads the reflection the loop carried from the first
+            got = np.array(xs)
+            core._orbit([key] * len(xs), got, 1, out)
+            for x, y in zip(xs, got.tolist()):
+                assert y.hex() == rctm_step(rctm_step(x, key), key).hex(), (key.mu, x.hex())
         assert on_integer > 500
+        assert on_half > 500 and min(ties.values()) > 100
+        assert below_half > 100
 
     @pytest.mark.parametrize("burn_in", [0, 1, 1000])
     def test_every_lane_equals_the_one_key_orbit(self, kernel, burn_in, monkeypatch):
