@@ -426,22 +426,68 @@ def spectral_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(n, dtype=np.float64), np.empty(n // 2 + 1, dtype=np.complex128)
 
 
+def _fitted(workspace: tuple[np.ndarray, np.ndarray] | None, n: int
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """workspace, or a new one when it is None, checked to be for n-bit streams."""
+    x, spec = spectral_workspace(n) if workspace is None else workspace
+    if x.size != n:
+        raise ValueError(f"workspace is for {x.size}-bit streams, got {n} bits")
+    return x, spec
+
+
+def _spectral_transform(b: np.ndarray, x: np.ndarray, spec: np.ndarray) -> np.ndarray:
+    """Write the +/-1 values of b into x and their real-input transform into spec."""
+    np.multiply(b, 2.0, out=x)
+    x -= 1.0
+    return np.fft.rfft(x, out=spec)
+
+
+class _SpectralWorker:
+    """One spectral workspace and one worker thread that fills it, for a run of
+    streams of one length, one stream at a time.
+
+    Used in a with block, which joins the thread on leaving.  Only the
+    untraced transform runs on the worker: the tests run on the calling
+    thread, where a wrapper set on the module (as the benchmark's tracer,
+    which keeps one span stack) sees them.  Each run holds one thread, not
+    one per stream, and one workspace: more of either kept more of
+    ``rfft``'s scratch resident.
+    """
+
+    def __init__(self, workspace: tuple[np.ndarray, np.ndarray]):
+        # imported here, not with the module: it costs about 4 ms, and most
+        # programs that import rctm run no battery
+        from concurrent.futures import ThreadPoolExecutor
+
+        self.workspace = workspace
+        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rctm-spectral")
+
+    def __enter__(self) -> _SpectralWorker:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._pool.shutdown()
+
+    def transform(self, b: np.ndarray):
+        """Start the transform of b into the workspace; the future's result is its spectrum."""
+        return self._pool.submit(_spectral_transform, b, *self.workspace)
+
+
 def dft(bits, *, workspace: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[float, float]:
     """Spectral test: count of DFT peaks below the 95% threshold.
 
     Uses the moduli of the first n/2 transform terms and the corrected
     variance n * 0.95 * 0.05 / 4.  ``workspace``, from
     ``spectral_workspace(n)``, is overwritten; without it the call makes
-    its own.  A battery passes one to every stream.
+    its own.  :func:`stream_outcomes` passes its worker instead, whose
+    transform of bits it has waited for, so the call only counts.
     """
     b = _require("dft", bits)
     n = b.size
-    x, spec = spectral_workspace(n) if workspace is None else workspace
-    if x.size != n:
-        raise ValueError(f"workspace is for {x.size}-bit streams, got {n} bits")
-    np.multiply(b, 2.0, out=x)
-    x -= 1.0
-    np.fft.rfft(x, out=spec)
+    if isinstance(workspace, _SpectralWorker):
+        spec = workspace.workspace[1]
+    else:
+        spec = _spectral_transform(b, *_fitted(workspace, n))
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
     n0 = 0.95 * n / 2.0
     terms = spec[:n // 2]
@@ -455,15 +501,28 @@ def stream_outcomes(bits, *, workspace: tuple[np.ndarray, np.ndarray] | None = N
                     ) -> list[TestOutcome]:
     """All subset tests on one stream, serial's second p-value as its own row.
 
-    ``workspace`` goes to :func:`dft`.
+    The spectral transform runs on a worker thread while the calling thread
+    runs the other eight tests; every result is the one the tests give
+    called one by one.  ``workspace``, from ``spectral_workspace(n)``, holds
+    the transform; without it the call makes its own.  A battery passes
+    its worker instead, so that one thread serves all its streams.
     """
     b = _as_bits(bits)
     if b.size < SUBSET_MIN_BITS:
         raise ValueError(f"the NIST subset needs at least {SUBSET_MIN_BITS} bits, got {b.size}")
+    if isinstance(workspace, _SpectralWorker):  # a battery's, made for its streams' one length
+        return _outcomes(b, workspace)
+    with _SpectralWorker(_fitted(workspace, b.size)) as worker:
+        return _outcomes(b, worker)
+
+
+def _outcomes(b: np.ndarray, worker: _SpectralWorker) -> list[TestOutcome]:
+    pending = worker.transform(b)
     # looked up when called, not kept in a table, so wrappers set on the module see every
-    # call; dft, the last test, takes the workspace
+    # call; dft, the last test, counts from the finished transform
     results = [globals()[name](b) for name in TEST_NAMES[:-1]]
-    results.append(globals()["dft"](b, workspace=workspace))
+    pending.result()  # a transform that failed raises here
+    results.append(globals()["dft"](b, workspace=worker))
     results[7:8] = results[7]  # serial's two results are the serial and serial_2 rows
     return [TestOutcome(entry, stat, p, p >= ALPHA)
             for entry, (stat, p) in zip(ENTRY_NAMES, results)]
@@ -497,11 +556,11 @@ def nist_battery(streams: Sequence[BitStream | np.ndarray]) -> TestReport:
     if len(lengths) != 1:
         raise ValueError(f"battery needs one or more streams of one length, got lengths {lengths}")
     per_test: dict[str, list[bool]] = {name: [] for name in ENTRY_NAMES}
-    # one spectral workspace serves every stream
-    workspace = spectral_workspace(lengths[0])
-    for s in streams:
-        for row in stream_outcomes(s, workspace=workspace):
-            per_test[row.test].append(row.passed)
+    # one spectral workspace and one worker thread serve every stream
+    with _SpectralWorker(spectral_workspace(lengths[0])) as worker:
+        for s in streams:
+            for row in stream_outcomes(s, workspace=worker):
+                per_test[row.test].append(row.passed)
     m = len(streams)
     bound = min_proportion(m)
     lines = tuple(

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -391,19 +393,22 @@ def test_megabit_tests_allocate_no_stream_sized_temporaries():
     # a 10^6-bit stream is 1 MB of uint8, and one pass over all of it in
     # int32, intp or float64 would allocate 4 to 8 MB; each test's
     # temporaries stay below 2 MiB (the spectral test's, given its
-    # workspace, below 1 MiB)
+    # workspace, below 1 MiB), and the whole subset's, with the transform on
+    # a worker thread beside the other tests (tracemalloc sees both
+    # threads), below 3 MiB
     bits = np.random.default_rng(17).integers(0, 2, size=10**6, dtype=np.uint8)
     workspace = nist.spectral_workspace(bits.size)
-    for name in nist.TEST_NAMES:
+    bounds = {"dft": 2**20, "stream_outcomes": 3 * 2**20}
+    for name in (*nist.TEST_NAMES, "stream_outcomes"):
         test = getattr(nist, name)
-        kwargs = {"workspace": workspace} if name == "dft" else {}
+        kwargs = {"workspace": workspace} if name in bounds else {}
         tracemalloc.start()
         try:
             test(bits, **kwargs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (2**20 if name == "dft" else 2 * 2**20), (name, peak)
+        assert peak < bounds.get(name, 2 * 2**20), (name, peak)
 
 
 class TestDispatch:
@@ -437,6 +442,145 @@ class TestDispatch:
         bits = np.random.default_rng(15).integers(0, 2, size=2000, dtype=np.uint8)
         stream_outcomes(bits)
         assert calls == [2000]
+
+
+def rows_one_by_one(bits):
+    """The subset's rows from the nine tests called one by one, as reprs
+    (a NaN statistic compares equal by repr)."""
+    results = [getattr(nist, name)(bits) for name in nist.TEST_NAMES]
+    results[7:8] = results[7]
+    return [repr(nist.TestOutcome(entry, stat, p, p >= nist.ALPHA))
+            for entry, (stat, p) in zip(ENTRY_NAMES, results)]
+
+
+def record_transforms(monkeypatch, fail=False):
+    """Wrap the spectral transform: the list gets the thread of every call,
+    and the wrapper raises instead when fail is set."""
+    threads = []
+    transform = nist._spectral_transform
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        if fail:
+            raise RuntimeError("transform failed")
+        return transform(*args)
+
+    monkeypatch.setattr(nist, "_spectral_transform", recorded)
+    return threads
+
+
+def joined(threads):
+    """Whether every thread ends within a timed join."""
+    for thread in threads:
+        thread.join(timeout=10)
+    return not any(thread.is_alive() for thread in threads)
+
+
+class TestSpectralWorker:
+    """stream_outcomes runs the spectral transform on a worker thread beside
+    the other eight tests; a battery keeps one worker for all its streams."""
+
+    @pytest.mark.parametrize("n, density", [
+        (128, 0.5), (2**16 - 1, 0.5), (2**16 + 1, 0.5), (2**17 + 3, 0.5),
+        (10**5 + 7, 0.5), (10**4, 0.0), (10**4, 1.0), (10**4 + 1, "alternating"),
+    ])
+    def test_rows_equal_the_tests_called_one_by_one(self, monkeypatch, n, density):
+        bits = stream(n, density)
+        other = bits[::-1].copy()
+        assert [repr(row) for row in stream_outcomes(bits)] == rows_one_by_one(bits)
+        workspace = nist.spectral_workspace(n)
+        for b in (bits, other):
+            assert [repr(row) for row in stream_outcomes(b, workspace=workspace)] \
+                == rows_one_by_one(b)
+        # the battery's rows, seen through stream_outcomes as the module calls it
+        seen = []
+        outcomes = nist.stream_outcomes
+        monkeypatch.setattr(nist, "stream_outcomes",
+                            lambda b, **kw: seen.append(outcomes(b, **kw)) or seen[-1])
+        nist_battery([bits, other])
+        assert [[repr(row) for row in rows] for rows in seen] \
+            == [rows_one_by_one(bits), rows_one_by_one(other)]
+
+    def test_tests_run_on_the_calling_thread_and_one_worker_per_battery(self, monkeypatch):
+        calls = []
+        for name in (*nist.TEST_NAMES, "stream_outcomes"):
+            def wrapper(*args, _name=name, _fn=getattr(nist, name), **kwargs):
+                calls.append((_name, threading.get_ident()))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(nist, name, wrapper)
+        in_flight, most = [0], [0]
+        transform = nist._spectral_transform
+        workers = []
+
+        def counted(*args):
+            workers.append(threading.current_thread())
+            in_flight[0] += 1
+            most[0] = max(most[0], in_flight[0])
+            try:
+                return transform(*args)
+            finally:
+                in_flight[0] -= 1
+
+        monkeypatch.setattr(nist, "_spectral_transform", counted)
+        nist_battery([stream(5000, 0.5), stream(5000, 0.3), stream(5000, "alternating")])
+        assert Counter(name for name, _ in calls) == {name: 3 for name in
+                                                     (*nist.TEST_NAMES, "stream_outcomes")}
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+        assert len(workers) == 3 and len(set(workers)) == 1
+        assert workers[0].ident != threading.get_ident()
+        assert most[0] == 1
+        assert joined(workers)
+
+    @pytest.mark.parametrize("run", [stream_outcomes, lambda b: nist_battery([b, b])])
+    @pytest.mark.parametrize("side", ["test", "transform"])
+    def test_an_exception_on_either_side_reaches_the_caller(self, monkeypatch, run, side):
+        workers = record_transforms(monkeypatch, fail=side == "transform")
+        if side == "test":
+            def failing(bits, **params):
+                raise RuntimeError("test failed")
+            monkeypatch.setattr(nist, "serial", failing)
+        with pytest.raises(RuntimeError, match=f"^{side} failed$"):
+            run(stream(5000, 0.5))
+        assert len(workers) == 1 and workers[0].ident != threading.get_ident()
+        assert joined(workers)
+
+    def test_workspace_of_another_length_refused_before_any_test(self, monkeypatch):
+        calls = []
+
+        def counting(bits, **params):
+            calls.append(len(bits))
+            return monobit(bits, **params)
+
+        monkeypatch.setattr(nist, "monobit", counting)
+        workers = record_transforms(monkeypatch)
+        with pytest.raises(ValueError, match="^workspace is for 1000-bit streams, got 1001 bits"):
+            stream_outcomes(stream(1001, 0.5), workspace=nist.spectral_workspace(1000))
+        assert calls == [] and workers == []
+
+    def test_concurrent_batteries_under_a_short_switch_interval(self):
+        # six threads on the callers' side and their workers: each battery's
+        # rows must stay its own, however often the interpreter switches
+        streams = [[stream(4096 + 64 * k, density) for density in (0.5, 0.49, "alternating")]
+                   for k in range(3)]
+        expected = [[rows_one_by_one(b) for b in run] for run in streams]
+        reports = [repr(nist_battery(run)) for run in streams]
+        got = [None] * len(streams)
+
+        def caller(k):
+            rows = [[repr(row) for row in stream_outcomes(b)] for b in streams[k]]
+            got[k] = (rows, repr(nist_battery(streams[k])))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(streams))]
+            for thread in threads:
+                thread.start()
+            done = joined(threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert done
+        assert got == list(zip(expected, reports))
 
 
 class TestBattery:
