@@ -558,7 +558,7 @@ class TestSpectralWorker:
         assert calls == [] and workers == []
 
     def test_concurrent_batteries_under_a_short_switch_interval(self):
-        # six threads on the callers' side and their workers: each battery's
+        # three callers and their three workers on two cores: each caller's
         # rows must stay its own, however often the interpreter switches
         streams = [[stream(4096 + 64 * k, density) for density in (0.5, 0.49, "alternating")]
                    for k in range(3)]
