@@ -168,15 +168,15 @@ def _pad_bits(bits: int, fmt: str) -> int:
     return (-bits) % 8 if fmt == "raw" else 0
 
 
-def _check_bits(bits: int) -> None:
-    """Refuse a --bits count below 1 under the option's name, before any product of it."""
-    if bits < 1:
-        raise ValueError(f"--bits must be >= 1, got {bits}")
+def _check_bits(count: int, option: str) -> None:
+    """Refuse a count option below 1 under the option's name, before any product of it."""
+    if count < 1:
+        raise ValueError(f"{option} must be >= 1, got {count}")
 
 
 def cmd_generate(args) -> int:
     key = make_key(args.mu, args.x0)
-    _check_bits(args.bits)
+    _check_bits(args.bits, "--bits")
     chunks = stream_chunks(key, args.bits, args.burn_in, threshold_values)
     health = _health(_write_bits([args.output], args.bits, chunks, args.format))
     if args.meta:
@@ -196,7 +196,7 @@ def cmd_generate(args) -> int:
 
 def cmd_export(args) -> int:
     key = make_key(args.mu, args.x0)
-    _check_bits(args.bits)
+    _check_bits(args.bits, "--bits")
     if args.segments < 1:
         raise ValueError(f"segments must be >= 1, got {args.segments}")
     ext = "txt" if args.format == "ascii-bits" else "bin"
@@ -269,6 +269,7 @@ def cmd_analyze_dynamics(args) -> int:
 
 def cmd_test_nist(args) -> int:
     key = make_key(args.mu, args.x0)
+    _check_bits(args.bits, "--bits")
     streams = segmented_streams(key, args.streams, args.bits, burn_in=args.burn_in)
     report = nist.nist_battery(streams)
     payload = {
@@ -302,6 +303,7 @@ def _ent_checks(report) -> dict[str, bool]:
 
 def cmd_test_ent(args) -> int:
     key = make_key(args.mu, args.x0)
+    _check_bits(args.bytes, "--bytes")
     data, degenerate = orbit_stream(key, args.bytes, args.burn_in, quantize_values)
     report = ent_battery(data)
     checks = _ent_checks(report)

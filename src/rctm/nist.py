@@ -420,21 +420,6 @@ def serial(bits, m: int = 2) -> tuple[tuple[float, float], tuple[float, float]]:
     return (d1, p1), (d2, p2)
 
 
-def spectral_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Buffers for :func:`dft` on n-bit streams: the n +/-1 values (float64)
-    and their n/2 + 1 real-input transform terms (complex128)."""
-    return np.empty(n, dtype=np.float64), np.empty(n // 2 + 1, dtype=np.complex128)
-
-
-def _fitted(workspace: tuple[np.ndarray, np.ndarray] | None, n: int
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """workspace, or a new one when it is None, checked to be for n-bit streams."""
-    x, spec = spectral_workspace(n) if workspace is None else workspace
-    if x.size != n:
-        raise ValueError(f"workspace is for {x.size}-bit streams, got {n} bits")
-    return x, spec
-
-
 def _spectral_transform(b: np.ndarray, x: np.ndarray, spec: np.ndarray) -> np.ndarray:
     """Write the +/-1 values of b into x and their real-input transform into spec."""
     np.multiply(b, 2.0, out=x)
@@ -442,90 +427,73 @@ def _spectral_transform(b: np.ndarray, x: np.ndarray, spec: np.ndarray) -> np.nd
     return np.fft.rfft(x, out=spec)
 
 
-class _SpectralWorker:
-    """One spectral workspace and one worker thread that fills it, for a run of
-    streams of one length, one stream at a time.
-
-    Used in a with block, which joins the thread on leaving.  Only the
-    untraced transform runs on the worker: the tests run on the calling
-    thread, where a wrapper set on the module (as the benchmark's tracer,
-    which keeps one span stack) sees them.  Each run holds one thread, not
-    one per stream, and one workspace: more of either kept more of
-    ``rfft``'s scratch resident.
-    """
-
-    def __init__(self, workspace: tuple[np.ndarray, np.ndarray]):
-        # imported here, not with the module: it costs about 4 ms, and most
-        # programs that import rctm run no battery
-        from concurrent.futures import ThreadPoolExecutor
-
-        self.workspace = workspace
-        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rctm-spectral")
-
-    def __enter__(self) -> _SpectralWorker:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._pool.shutdown()
-
-    def transform(self, b: np.ndarray):
-        """Start the transform of b into the workspace; the future's result is its spectrum."""
-        return self._pool.submit(_spectral_transform, b, *self.workspace)
-
-
-def dft(bits, *, workspace: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[float, float]:
+def dft(bits, *, spectrum: np.ndarray | None = None) -> tuple[float, float]:
     """Spectral test: count of DFT peaks below the 95% threshold.
 
     Uses the moduli of the first n/2 transform terms and the corrected
-    variance n * 0.95 * 0.05 / 4.  ``workspace``, from
-    ``spectral_workspace(n)``, is overwritten; without it the call makes
-    its own.  :func:`stream_outcomes` passes its worker instead, whose
-    transform of bits it has waited for, so the call only counts.
+    variance n * 0.95 * 0.05 / 4.  ``spectrum``, when given, is the
+    real-input transform of the n +/-1 values of bits, its n // 2 + 1
+    terms, and is only counted; without it the call computes its own.
     """
     b = _require("dft", bits)
     n = b.size
-    if isinstance(workspace, _SpectralWorker):
-        spec = workspace.workspace[1]
-    else:
-        spec = _spectral_transform(b, *_fitted(workspace, n))
+    if spectrum is None:
+        spectrum = _spectral_transform(b, np.empty(n, dtype=np.float64),
+                                       np.empty(n // 2 + 1, dtype=np.complex128))
+    elif spectrum.shape != (n // 2 + 1,):
+        raise ValueError(f"spectrum of {n} bits needs shape ({n // 2 + 1},), got {spectrum.shape}")
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
     n0 = 0.95 * n / 2.0
-    terms = spec[:n // 2]
+    terms = spectrum[:n // 2]
     n1 = sum(int(np.count_nonzero(np.abs(terms[i:i + _SLICE]) < threshold))
              for i in range(0, terms.size, _SLICE))
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     return d, math.erfc(abs(d) / math.sqrt(2.0))
 
 
-def stream_outcomes(bits, *, workspace: tuple[np.ndarray, np.ndarray] | None = None
-                    ) -> list[TestOutcome]:
+def stream_outcomes(bits) -> list[TestOutcome]:
     """All subset tests on one stream, serial's second p-value as its own row.
 
-    The spectral transform runs on a worker thread while the calling thread
-    runs the other eight tests; every result is the one the tests give
-    called one by one.  ``workspace``, from ``spectral_workspace(n)``, holds
-    the transform; without it the call makes its own.  A battery passes
-    its worker instead, so that one thread serves all its streams.
+    Runs the battery's loop on the one stream, so the rows are the ones
+    :func:`nist_battery` counts.
     """
     b = _as_bits(bits)
-    if b.size < SUBSET_MIN_BITS:
-        raise ValueError(f"the NIST subset needs at least {SUBSET_MIN_BITS} bits, got {b.size}")
-    if isinstance(workspace, _SpectralWorker):  # a battery's, made for its streams' one length
-        return _outcomes(b, workspace)
-    with _SpectralWorker(_fitted(workspace, b.size)) as worker:
-        return _outcomes(b, worker)
+    return _subset_rows([b], b.size)[0]
 
 
-def _outcomes(b: np.ndarray, worker: _SpectralWorker) -> list[TestOutcome]:
-    pending = worker.transform(b)
-    # looked up when called, not kept in a table, so wrappers set on the module see every
-    # call; dft, the last test, counts from the finished transform
-    results = [globals()[name](b) for name in TEST_NAMES[:-1]]
-    pending.result()  # a transform that failed raises here
-    results.append(globals()["dft"](b, workspace=worker))
-    results[7:8] = results[7]  # serial's two results are the serial and serial_2 rows
-    return [TestOutcome(entry, stat, p, p >= ALPHA)
-            for entry, (stat, p) in zip(ENTRY_NAMES, results)]
+def _subset_rows(streams, n: int) -> list[list[TestOutcome]]:
+    """The rows of :func:`stream_outcomes` for each of the n-bit streams.
+
+    One worker thread computes each stream's spectral transform into one
+    pair of buffers while the calling thread runs the other eight tests;
+    dft then counts the finished spectrum.  Every result is the one the
+    tests give called one by one.  Only the untraced transform runs on the
+    worker: the tests are looked up on the module when called, so a wrapper
+    set there (as the benchmark's tracer, which keeps one span stack) sees
+    every call.  One thread and one pair of buffers serve all the streams,
+    one stream at a time: more of either kept more of ``rfft``'s scratch
+    resident.  An exception on either thread reaches the caller after the
+    worker has ended.
+    """
+    if n < SUBSET_MIN_BITS:
+        raise ValueError(f"the NIST subset needs at least {SUBSET_MIN_BITS} bits, got {n}")
+    # imported here, not with the module: it costs about 4 ms, and most
+    # programs that import rctm run no battery
+    from concurrent.futures import ThreadPoolExecutor
+
+    x, spec = np.empty(n, dtype=np.float64), np.empty(n // 2 + 1, dtype=np.complex128)
+    rows = []
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="rctm-spectral") as worker:
+        for s in streams:
+            b = _as_bits(s)
+            pending = worker.submit(_spectral_transform, b, x, spec)
+            results = [globals()[name](b) for name in TEST_NAMES[:-1]]
+            # a transform that failed raises here
+            results.append(globals()["dft"](b, spectrum=pending.result()))
+            results[7:8] = results[7]  # serial's two results are the serial and serial_2 rows
+            rows.append([TestOutcome(entry, stat, p, p >= ALPHA)
+                         for entry, (stat, p) in zip(ENTRY_NAMES, results)])
+    return rows
 
 
 def min_proportion(streams: int) -> float:
@@ -556,11 +524,9 @@ def nist_battery(streams: Sequence[BitStream | np.ndarray]) -> TestReport:
     if len(lengths) != 1:
         raise ValueError(f"battery needs one or more streams of one length, got lengths {lengths}")
     per_test: dict[str, list[bool]] = {name: [] for name in ENTRY_NAMES}
-    # one spectral workspace and one worker thread serve every stream
-    with _SpectralWorker(spectral_workspace(lengths[0])) as worker:
-        for s in streams:
-            for row in stream_outcomes(s, workspace=worker):
-                per_test[row.test].append(row.passed)
+    for rows in _subset_rows(streams, lengths[0]):
+        for row in rows:
+            per_test[row.test].append(row.passed)
     m = len(streams)
     bound = min_proportion(m)
     lines = tuple(

@@ -156,16 +156,18 @@ class TestStreamedWriters:
         ["export", "--bits", 0], ["export", "--bits", -8, "--segments", 2],
         ["export", "--bits", 100, "--burn-in", -1],
         ["export", "--bits", 100, "--segments", 0], ["export", "--bits", 100, "--segments", -2],
+        ["test-nist", "--streams", 2, "--bits", -5], ["test-ent", "--bytes", 0],
     ])
     def test_invalid_counts_exit_1_before_any_file(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         assert run([*argv, *KEY, "-o", "out"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        bits = argv[argv.index("--bits") + 1]
-        if bits < 1:
-            # the option and the value given, not their product with --segments
-            assert err == f"error: --bits must be >= 1, got {bits}\n"
+        option = "--bytes" if "--bytes" in argv else "--bits"
+        count = argv[argv.index(option) + 1]
+        if count < 1:
+            # the option and the value given, not their product with --segments or --streams
+            assert err == f"error: {option} must be >= 1, got {count}\n"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["generate", "export"])
@@ -269,7 +271,8 @@ class TestBatteries:
     def test_batteries_need_no_scipy(self, tmp_path):
         # SciPy is the tests' oracle only: a plain import of rctm leaves it
         # unloaded, and with it unimportable both batteries write the reports
-        # they write here
+        # they write here.  The import leaves the executor of the spectral
+        # worker unloaded too, until a battery loop runs
         def argvs(where):
             key = ["--mu", "61.81", "--x0", "0.23"]
             return [["test-nist", *key, "--streams", "2", "--bits", "20000",
@@ -277,9 +280,14 @@ class TestBatteries:
                     ["test-ent", *key, "--bytes", "100000", "-o", str(where / "ent.json")]]
 
         env = {**os.environ, "PYTHONPATH": str(Path(rctm.__file__).parents[1])}
-        plain = subprocess.run([sys.executable, "-c", "import sys, rctm; print('scipy' in sys.modules)"],
+        probe = ("import sys, rctm, rctm.cli\n"
+                 "loaded = lambda: [name in sys.modules for name in ('scipy', 'concurrent.futures')]\n"
+                 "print(*loaded())\n"
+                 "rctm.nist.stream_outcomes([0, 1] * 64)\n"
+                 "print(*loaded())")
+        plain = subprocess.run([sys.executable, "-c", probe],
                                env=env, capture_output=True, text=True, check=True)
-        assert plain.stdout.split() == ["False"]
+        assert plain.stdout.split() == ["False", "False", "False", "True"]
         script = ("import json, sys\n"
                   "sys.modules['scipy'] = None\n"
                   "from rctm.cli import main\n"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import threading
 import time
@@ -374,37 +375,44 @@ class TestDft:
         _, p = dft(bits)
         assert p < 1e-10
 
-    def test_reused_workspace_equals_fresh_buffers(self):
-        # the second stream must not see anything the first left in the buffers
+    def test_given_spectrum_equals_own_transform(self):
+        # one pair of buffers for two streams: the second stream's count must
+        # not see anything the first left in them
         rng = np.random.default_rng(16)
         first = rng.integers(0, 2, size=2**17 + 3, dtype=np.uint8)
         second = (rng.random(first.size) < 0.48).astype(np.uint8)
-        workspace = nist.spectral_workspace(first.size)
-        assert dft(first, workspace=workspace) == dft(first)
-        assert dft(second, workspace=workspace) == dft(second)
+        spec = np.empty(first.size // 2 + 1, dtype=np.complex128)
+        for b in (first, second):
+            assert dft(b, spectrum=np.fft.rfft(2.0 * b - 1.0, out=spec)) == dft(b)
         assert dft(first) != dft(second)
 
-    def test_workspace_of_another_length_rejected(self):
-        with pytest.raises(ValueError, match="^workspace is for 1000-bit streams, got 1001 bits"):
-            dft(np.ones(1001, dtype=np.uint8), workspace=nist.spectral_workspace(1000))
+    @pytest.mark.parametrize("shape", [(500,), (502,), (1, 501), (501, 1)])
+    def test_spectrum_of_another_shape_rejected(self, shape):
+        # 1001 bits have 501 transform terms; a spectrum of any other shape
+        # is refused, not counted in part or past its end
+        spectrum = np.zeros(shape, dtype=np.complex128)
+        with pytest.raises(ValueError, match=rf"^spectrum of 1001 bits needs shape \(501,\), "
+                                             rf"got {re.escape(str(shape))}$"):
+            dft(np.ones(1001, dtype=np.uint8), spectrum=spectrum)
 
 
 def test_megabit_tests_allocate_no_stream_sized_temporaries():
     # a 10^6-bit stream is 1 MB of uint8, and one pass over all of it in
     # int32, intp or float64 would allocate 4 to 8 MB; each test's
-    # temporaries stay below 2 MiB (the spectral test's, given its
-    # workspace, below 1 MiB), and the whole subset's, with the transform on
-    # a worker thread beside the other tests (tracemalloc sees both
-    # threads), below 3 MiB
+    # temporaries stay below 2 MiB, the spectral test's below 1 MiB, and
+    # the whole subset's, with the transform on a worker thread beside the
+    # other tests (tracemalloc sees both threads), below 3 MiB.  dft and
+    # stream_outcomes each allocate the transform's two buffers, the n
+    # +/-1 values in float64 and the n/2 + 1 terms in complex128, which
+    # their bounds add
     bits = np.random.default_rng(17).integers(0, 2, size=10**6, dtype=np.uint8)
-    workspace = nist.spectral_workspace(bits.size)
-    bounds = {"dft": 2**20, "stream_outcomes": 3 * 2**20}
+    buffers = bits.size * 8 + (bits.size // 2 + 1) * 16
+    bounds = {"dft": buffers + 2**20, "stream_outcomes": buffers + 3 * 2**20}
     for name in (*nist.TEST_NAMES, "stream_outcomes"):
         test = getattr(nist, name)
-        kwargs = {"workspace": workspace} if name in bounds else {}
         tracemalloc.start()
         try:
-            test(bits, **kwargs)
+            test(bits)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -477,8 +485,9 @@ def joined(threads):
 
 
 class TestSpectralWorker:
-    """stream_outcomes runs the spectral transform on a worker thread beside
-    the other eight tests; a battery keeps one worker for all its streams."""
+    """The battery and stream_outcomes share one loop: it runs the spectral
+    transform on one worker thread beside the other eight tests, for all
+    its streams."""
 
     @pytest.mark.parametrize("n, density", [
         (128, 0.5), (2**16 - 1, 0.5), (2**16 + 1, 0.5), (2**17 + 3, 0.5),
@@ -487,23 +496,20 @@ class TestSpectralWorker:
     def test_rows_equal_the_tests_called_one_by_one(self, monkeypatch, n, density):
         bits = stream(n, density)
         other = bits[::-1].copy()
-        assert [repr(row) for row in stream_outcomes(bits)] == rows_one_by_one(bits)
-        workspace = nist.spectral_workspace(n)
         for b in (bits, other):
-            assert [repr(row) for row in stream_outcomes(b, workspace=workspace)] \
-                == rows_one_by_one(b)
-        # the battery's rows, seen through stream_outcomes as the module calls it
+            assert [repr(row) for row in stream_outcomes(b)] == rows_one_by_one(b)
+        # the battery's rows, as the loop returns them to it
         seen = []
-        outcomes = nist.stream_outcomes
-        monkeypatch.setattr(nist, "stream_outcomes",
-                            lambda b, **kw: seen.append(outcomes(b, **kw)) or seen[-1])
+        subset_rows = nist._subset_rows
+        monkeypatch.setattr(nist, "_subset_rows",
+                            lambda streams, n: seen.append(subset_rows(streams, n)) or seen[-1])
         nist_battery([bits, other])
-        assert [[repr(row) for row in rows] for rows in seen] \
-            == [rows_one_by_one(bits), rows_one_by_one(other)]
+        assert [[[repr(row) for row in rows] for rows in run] for run in seen] \
+            == [[rows_one_by_one(bits), rows_one_by_one(other)]]
 
     def test_tests_run_on_the_calling_thread_and_one_worker_per_battery(self, monkeypatch):
         calls = []
-        for name in (*nist.TEST_NAMES, "stream_outcomes"):
+        for name in nist.TEST_NAMES:
             def wrapper(*args, _name=name, _fn=getattr(nist, name), **kwargs):
                 calls.append((_name, threading.get_ident()))
                 return _fn(*args, **kwargs)
@@ -522,14 +528,18 @@ class TestSpectralWorker:
                 in_flight[0] -= 1
 
         monkeypatch.setattr(nist, "_spectral_transform", counted)
-        nist_battery([stream(5000, 0.5), stream(5000, 0.3), stream(5000, "alternating")])
-        assert Counter(name for name, _ in calls) == {name: 3 for name in
-                                                     (*nist.TEST_NAMES, "stream_outcomes")}
-        assert {ident for _, ident in calls} == {threading.get_ident()}
-        assert len(workers) == 3 and len(set(workers)) == 1
-        assert workers[0].ident != threading.get_ident()
-        assert most[0] == 1
-        assert joined(workers)
+        three = [stream(5000, 0.5), stream(5000, 0.3), stream(5000, "alternating")]
+        # a battery of three streams, then a lone stream_outcomes
+        for run, count in ((lambda: nist_battery(three), 3), (lambda: stream_outcomes(three[0]), 1)):
+            calls.clear()
+            workers.clear()
+            run()
+            assert Counter(name for name, _ in calls) == {name: count for name in nist.TEST_NAMES}
+            assert {ident for _, ident in calls} == {threading.get_ident()}
+            assert len(workers) == count and len(set(workers)) == 1
+            assert workers[0] is not threading.current_thread()
+            assert most[0] == 1
+            assert joined(workers)
 
     @pytest.mark.parametrize("run", [stream_outcomes, lambda b: nist_battery([b, b])])
     @pytest.mark.parametrize("side", ["test", "transform"])
@@ -543,19 +553,6 @@ class TestSpectralWorker:
             run(stream(5000, 0.5))
         assert len(workers) == 1 and workers[0].ident != threading.get_ident()
         assert joined(workers)
-
-    def test_workspace_of_another_length_refused_before_any_test(self, monkeypatch):
-        calls = []
-
-        def counting(bits, **params):
-            calls.append(len(bits))
-            return monobit(bits, **params)
-
-        monkeypatch.setattr(nist, "monobit", counting)
-        workers = record_transforms(monkeypatch)
-        with pytest.raises(ValueError, match="^workspace is for 1000-bit streams, got 1001 bits"):
-            stream_outcomes(stream(1001, 0.5), workspace=nist.spectral_workspace(1000))
-        assert calls == [] and workers == []
 
     def test_concurrent_batteries_under_a_short_switch_interval(self):
         # three callers and their three workers on two cores: each caller's

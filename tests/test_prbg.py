@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rctm import core
 from rctm.core import _CHUNK, iterate, make_key
 from rctm.nist import monobit
 from rctm.prbg import (
@@ -10,6 +11,8 @@ from rctm.prbg import (
     pack_bytes,
     quantize_values,
     segmented_streams,
+    stream_chunks,
+    threshold_values,
     unpack_bits,
 )
 
@@ -193,3 +196,23 @@ class TestStreamHealth:
         # segment 0 starts 0.5, 1.0 and has no tail of its own; it still carries the flag
         streams = segmented_streams(make_key(61.81, x0), 4, 1000)
         assert [s.degenerate for s in streams] == [flagged] * 4
+
+    @pytest.mark.parametrize("x0,flagged", [(0.5, True), (0.23, False)])
+    def test_chunks_carry_the_flag_on_the_last_pair_only(self, monkeypatch, x0, flagged):
+        # 37-sample chunks: 250 samples come as six whole chunks and 28 more
+        key = make_key(61.81, x0)
+        expected = generate_bits(key, 250, 3).bits
+        monkeypatch.setattr(core, "_CHUNK", 37)
+        chunks, flags = zip(*stream_chunks(key, 250, 3, threshold_values))
+        assert [chunk.size for chunk in chunks] == [37] * 6 + [28]
+        assert flags == (None,) * 6 + (flagged,)
+        assert np.array_equal(np.concatenate(chunks), expected)
+
+    @pytest.mark.parametrize("n, burn_in, message", [
+        (0, 0, "n must be >= 1, got 0"), (-3, 0, "n must be >= 1, got -3"),
+        (10, -1, "burn_in must be >= 0, got -1"),
+    ])
+    def test_bad_counts_raise_at_the_first_chunk(self, n, burn_in, message):
+        chunks = stream_chunks(make_key(61.81, 0.23), n, burn_in, threshold_values)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            next(chunks)
