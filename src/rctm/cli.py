@@ -168,15 +168,17 @@ def _pad_bits(bits: int, fmt: str) -> int:
     return (-bits) % 8 if fmt == "raw" else 0
 
 
-def _check_bits(count: int, option: str) -> None:
-    """Refuse a count option below 1 under the option's name, before any product of it."""
-    if count < 1:
-        raise ValueError(f"{option} must be >= 1, got {count}")
+def _check_bits(count: int, option: str, floor: int = 1) -> None:
+    """Refuse a count option below floor under the option's name, before any
+    library call or product of it."""
+    if count < floor:
+        raise ValueError(f"{option} must be >= {floor}, got {count}")
 
 
 def cmd_generate(args) -> int:
-    key = make_key(args.mu, args.x0)
     _check_bits(args.bits, "--bits")
+    _check_bits(args.burn_in, "--burn-in", 0)
+    key = make_key(args.mu, args.x0)
     chunks = stream_chunks(key, args.bits, args.burn_in, threshold_values)
     health = _health(_write_bits([args.output], args.bits, chunks, args.format))
     if args.meta:
@@ -195,10 +197,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_export(args) -> int:
-    key = make_key(args.mu, args.x0)
     _check_bits(args.bits, "--bits")
-    if args.segments < 1:
-        raise ValueError(f"segments must be >= 1, got {args.segments}")
+    _check_bits(args.segments, "--segments")
+    _check_bits(args.burn_in, "--burn-in", 0)
+    key = make_key(args.mu, args.x0)
     ext = "txt" if args.format == "ascii-bits" else "bin"
     paths = [f"{args.output}_{i:03d}.{ext}" for i in range(args.segments)]
     chunks = stream_chunks(key, args.segments * args.bits, args.burn_in, threshold_values)
@@ -268,8 +270,10 @@ def cmd_analyze_dynamics(args) -> int:
 
 
 def cmd_test_nist(args) -> int:
-    key = make_key(args.mu, args.x0)
     _check_bits(args.bits, "--bits")
+    _check_bits(args.streams, "--streams")
+    _check_bits(args.burn_in, "--burn-in", 0)
+    key = make_key(args.mu, args.x0)
     streams = segmented_streams(key, args.streams, args.bits, burn_in=args.burn_in)
     report = nist.nist_battery(streams)
     payload = {
@@ -302,8 +306,9 @@ def _ent_checks(report) -> dict[str, bool]:
 
 
 def cmd_test_ent(args) -> int:
-    key = make_key(args.mu, args.x0)
     _check_bits(args.bytes, "--bytes")
+    _check_bits(args.burn_in, "--burn-in", 0)
+    key = make_key(args.mu, args.x0)
     data, degenerate = orbit_stream(key, args.bytes, args.burn_in, quantize_values)
     report = ent_battery(data)
     checks = _ent_checks(report)

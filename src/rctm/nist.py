@@ -306,6 +306,14 @@ _BYTE_NET, _BYTE_TOP, _BYTE_BOTTOM = _byte_walks()
 
 
 def _cusum(bits, reverse: bool) -> tuple[float, float]:
+    """z and p of the cusum test in one direction.
+
+    Walks the bits a packed byte at a time, one slice of _SLICE // 8 bytes
+    per pass: ``np.take`` reads each byte's net step and its highest and
+    lowest partial sums from the byte tables, one cumsum gives S at each
+    byte's end, and S carries from slice to slice as a Python int.  The 0-7
+    tail bits are walked in Python.
+    """
     b = _require("cusum_reverse" if reverse else "cusum_forward", bits)
     n = b.size
     # forward: z = max |S_k| over the +/-1 walk S_k, k = 0..n, S_0 = 0; reverse:
@@ -313,12 +321,14 @@ def _cusum(bits, reverse: bool) -> tuple[float, float]:
     # nothing is reversed, but S_n stays out of the extremes: the last bit is
     # left to the tail walk below
     head = (n - reverse) // 8 * 8  # the bits walked a byte at a time
-    packed = np.packbits(b[:head])
-    # S at the end of each whole byte; |S_k| <= n fits int32 below 2^31 bits
-    ends = np.cumsum(_BYTE_NET[packed], dtype=np.int32 if n < 2**31 else np.int64)
-    top = int((ends + _BYTE_TOP[packed]).max(initial=0))
-    bottom = int((ends + _BYTE_BOTTOM[packed]).min(initial=0))
-    s = int(ends[-1]) if ends.size else 0
+    s = top = bottom = 0
+    for start in range(0, head, _SLICE):
+        packed = np.packbits(b[start:min(start + _SLICE, head)])
+        # S at each byte's end, less the S carried in; within 2^16 bits it fits int32
+        ends = np.cumsum(np.take(_BYTE_NET, packed), dtype=np.int32)
+        top = max(top, s + int((ends + np.take(_BYTE_TOP, packed)).max()))
+        bottom = min(bottom, s + int((ends + np.take(_BYTE_BOTTOM, packed)).min()))
+        s += int(ends[-1])
     tail = b[head:].tolist()
     for bit in tail[:len(tail) - reverse]:
         s += 2 * bit - 1
@@ -341,23 +351,49 @@ def cusum_reverse(bits) -> tuple[float, float]:
 def _pattern_counts(b: np.ndarray, m: int) -> list[np.ndarray]:
     """Counts of the n overlapping wrapped k-bit patterns, item k for k = 0..m.
 
-    Size m is counted; with wraparound each smaller size is the exact
-    marginal of the next (pattern p counts patterns 2p and 2p+1)."""
+    Size m is counted from packed bytes, one slice of _SLICE // 8 bytes per
+    pass (more when the histogram below outnumbers a slice's indices).
+    Each whole byte gets a window of its 8 bits and the m - 1 bits after
+    it; past the last whole byte the window reads the 0-7 tail bits, then
+    wraps to the stream's start.  Each window is cut into 8/g indices of
+    g + m - 1 bits, with g the largest of 8, 4, 2 and 1 that keeps them
+    within 16 bits where m allows, and all of them go into one histogram
+    of 2^(g+m-1) bins.  An index holds g patterns, so folding the
+    histogram g ways gives the 2^m counts (Sys & Riha, SPACE 2014).  The
+    last n mod 8 window starts are counted one by one.  With wraparound
+    each smaller size is the exact marginal of the next (pattern p counts
+    patterns 2p and 2p+1)."""
     n = b.size
-    # the narrowest index that holds m bits
-    dtype = np.uint8 if m <= 8 else (np.uint16 if m <= 16 else np.int64)
-    total = np.zeros(2 ** m, dtype=np.intp)
-    for start in range(0, n, _SLICE):
-        size = min(_SLICE, n - start)
-        # the slice's patterns read m - 1 bits past it, wrapping past the stream's end
-        ext = b[start:start + size + m - 1]
-        if ext.size < size + m - 1:
-            ext = np.concatenate([ext, b[:size + m - 1 - ext.size]])
-        idx = ext[:size].astype(dtype)
-        for j in range(1, m):
-            idx <<= 1
-            idx |= ext[j:j + size]
-        total += np.bincount(idx, minlength=2 ** m)
+    g = next((g for g in (8, 4, 2) if g + m - 1 <= 16), 1)
+    width = 8 + m - 1  # a byte's window
+    # the narrowest that holds the window; int64, not uint64, for bincount
+    dtype = np.uint16 if width <= 16 else (np.uint32 if width <= 32 else np.int64)
+    extra = -(-(m - 1) // 8)  # bytes after a byte that its window reads
+    whole = n // 8
+    bins = 2 ** (g + m - 1)
+    # an index's offset from the window's low end, one row per index
+    shifts = np.arange(8 - g, -1, -g, dtype=dtype)[:, None]
+    # the bits after the last whole byte: the tail, then the stream's start
+    after = np.concatenate([b[8 * whole:], b[:m - 1]])
+    step = max(_SLICE // 8, bins * g // 8)  # bytes per slice: no fewer indices than bins
+    hist = np.zeros(bins, dtype=np.intp)
+    for start in range(0, whole, step):
+        size = min(step, whole - start)
+        packed = np.packbits(b[8 * start:8 * min(start + size + extra, whole)])
+        if packed.size < size + extra:
+            packed = np.concatenate([packed, np.packbits(after)[:size + extra - packed.size]])
+        windows = packed[:size].astype(dtype)
+        for j in range(1, extra + 1):
+            windows <<= 8
+            windows |= packed[j:j + size]
+        windows >>= 8 * extra - (m - 1)
+        hist += np.bincount(((windows >> shifts) & dtype(bins - 1)).ravel(), minlength=bins)
+    # index bits j .. j + m - 1, from the high end, hold the pattern of the j-th start
+    total = sum(hist.reshape(2 ** j, 2 ** m, 2 ** (g - 1 - j)).sum(axis=(0, 2))
+                for j in range(g))
+    tail = after.tolist()
+    for s in range(n - 8 * whole):
+        total[int("".join(map(str, tail[s:s + m])), 2)] += 1
     counts = [total]
     for _ in range(m):
         counts.append(counts[-1].reshape(-1, 2).sum(axis=1))

@@ -157,17 +157,18 @@ class TestStreamedWriters:
         ["export", "--bits", 100, "--burn-in", -1],
         ["export", "--bits", 100, "--segments", 0], ["export", "--bits", 100, "--segments", -2],
         ["test-nist", "--streams", 2, "--bits", -5], ["test-ent", "--bytes", 0],
+        ["test-nist", "--streams", 0], ["test-nist", "--burn-in", -2],
+        ["test-ent", "--burn-in", -3],
     ])
     def test_invalid_counts_exit_1_before_any_file(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         assert run([*argv, *KEY, "-o", "out"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        option = "--bytes" if "--bytes" in argv else "--bits"
-        count = argv[argv.index(option) + 1]
-        if count < 1:
-            # the option and the value given, not their product with --segments or --streams
-            assert err == f"error: {option} must be >= 1, got {count}\n"
+        floors = {"--bits": 1, "--bytes": 1, "--segments": 1, "--streams": 1, "--burn-in": 0}
+        [(option, count)] = [(arg, argv[i + 1]) for i, arg in enumerate(argv)
+                             if arg in floors and argv[i + 1] < floors[arg]]
+        # the option and the value given, not the library's name for it or its
+        # product with --segments or --streams
+        assert capsys.readouterr().err == f"error: {option} must be >= {floors[option]}, got {count}\n"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["generate", "export"])

@@ -200,7 +200,9 @@ class TestCusum:
     # biased streams end the walk far from 0, so the reverse maximum is not
     # the forward one; lengths 8k - 1, 8k and 8k + 1 end in a 7-bit, an empty
     # and a 1-bit tail after the whole bytes, and the constant and
-    # alternating streams put the extremes at the ends and inside every byte
+    # alternating streams put the extremes at the ends and inside every byte;
+    # the biased streams of more than one 2^16-bit slice put the forward
+    # extreme in a later slice, which reads the S carried from the ones before
     @pytest.mark.parametrize("n, density", [(2, 1.0), (3, 0.5), (1000, 0.5),
                                             (5000, 0.4), (5001, 0.6), (20_000, 0.55),
                                             (7, 0.5), (8, 0.5), (9, 0.5), (15, 0.3), (16, 0.7),
@@ -208,7 +210,9 @@ class TestCusum:
                                             (2**16 - 1, 0.5), (2**16, 0.5), (2**16 + 1, 0.5),
                                             (2**17 + 3, 0.49), (8, 1.0), (1001, 1.0),
                                             (8, 0.0), (1001, 0.0), (15, "alternating"),
-                                            (16, "alternating"), (1001, "alternating")])
+                                            (16, "alternating"), (1001, "alternating"),
+                                            (3 * 2**16 + 5, 0.45), (3 * 2**16 + 5, 0.55),
+                                            (2**16 + 9, 0.45), (2**16 + 9, 0.55)])
     def test_statistics_match_the_literal_walks(self, n, density):
         bits = stream(n, density)
         for test, values in ((cusum_forward, bits.tolist()),
@@ -250,10 +254,15 @@ class TestCusum:
             test(np.ones(1, dtype=np.uint8))
 
 
-# pattern sizes on both sides of each index dtype's width, and stream
-# lengths on both sides of the 2^16-bit slices, whose last one wraps
+# pattern sizes on both sides of the 16-bit window (9/10), of each index
+# group g = 8, 4, 2, 1 (9/10, 13/14, 15/16) and of the old 8- and 16-bit
+# indices, and m = 1; stream lengths on both sides of the 2^13-byte slices, whose last one
+# wraps; fewer than two whole bytes (n = 10); and 3 tail starts, whose windows
+# wrap across the last partial byte (2^16 + 3)
 PATTERN_CASES = [(8, 3000), (9, 3000), (16, 3000), (17, 3000),
-                 (3, 2**16 - 1), (3, 2**16), (17, 2**16 + 1), (9, 2**17 + 3)]
+                 (3, 2**16 - 1), (3, 2**16), (17, 2**16 + 1), (9, 2**17 + 3),
+                 (2, 10), (3, 10), (1, 3000), (3, 2**16 + 3),
+                 (10, 3000), (13, 3000), (14, 3000), (15, 3000)]
 
 
 @pytest.mark.parametrize("m, n", PATTERN_CASES,
