@@ -254,11 +254,11 @@ class TestCusum:
             test(np.ones(1, dtype=np.uint8))
 
 
-# pattern sizes on both sides of the 16-bit window (9/10), of each index
-# group g = 8, 4, 2, 1 (9/10, 13/14, 15/16) and of the old 8- and 16-bit
-# indices, and m = 1; stream lengths on both sides of the 2^13-byte slices, whose last one
-# wraps; fewer than two whole bytes (n = 10); and 3 tail starts, whose windows
-# wrap across the last partial byte (2^16 + 3)
+# pattern sizes on both sides of the 16-bit window (9/10) and of each index
+# group g = 8, 4, 2, 1 (9/10, 13/14, 15/16), indices wider than 16 bits (17)
+# and m = 1; stream lengths on both sides of the 2^13-byte slices, whose last
+# one wraps; fewer than two whole bytes (n = 10); and 3 tail starts, whose
+# windows wrap across the last partial byte (2^16 + 3)
 PATTERN_CASES = [(8, 3000), (9, 3000), (16, 3000), (17, 3000),
                  (3, 2**16 - 1), (3, 2**16), (17, 2**16 + 1), (9, 2**17 + 3),
                  (2, 10), (3, 10), (1, 3000), (3, 2**16 + 3),
