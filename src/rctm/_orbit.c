@@ -47,10 +47,12 @@
  * out[r*n..r*n+n-1] and leaves the state that follows them in state[r].
  *
  * Each step of one orbit waits for the previous one, so a single orbit
- * leaves the floating-point units mostly idle.  Rows are therefore stepped
- * four at a time in lockstep, and the last 0-3 rows one at a time.  The four
- * lanes share nothing: each has its own parameters and state, and applies
- * the same step to them, so every row is bit-identical to running it alone.
+ * leaves the floating-point units mostly idle.  One loop, lanes, steps L
+ * rows in lockstep: L = 4 for each whole group of four rows, L = 1 for each
+ * of the 0-3 left over.  The lanes share nothing: each applies the same step
+ * to its own parameters and state, so every row is bit-identical to running
+ * it alone.  gcc 12 -O2 fully unrolls the loops over the lanes only by the
+ * pragma; rolled, the lane arrays stay in memory and take 1.3-1.6x as long.
  */
 #include <math.h>
 #include <stdint.h>
@@ -88,42 +90,39 @@ static inline double step(double x, double *m, params k)
     return t;
 }
 
+/* rctm_orbit's work for rows 0..L-1 of the arrays given, L <= 4. */
+static inline void lanes(int L, const double *restrict keys, double *restrict state,
+                         int64_t skip, int64_t n, double *restrict out)
+{
+    params k[4];
+    double x[4], m[4], *o[4];
+#pragma GCC unroll 4
+    for (int j = 0; j < L; j++) {
+        k[j] = load(keys + 5 * j);
+        x[j] = state[j];
+        m[j] = reflect(x[j]);
+        o[j] = out + j * n;
+    }
+    for (int64_t i = -skip; i < n; i++) {
+        if (i >= 0)
+#pragma GCC unroll 4
+            for (int j = 0; j < L; j++)
+                o[j][i] = x[j];
+#pragma GCC unroll 4
+        for (int j = 0; j < L; j++)
+            x[j] = step(x[j], &m[j], k[j]);
+    }
+#pragma GCC unroll 4
+    for (int j = 0; j < L; j++)
+        state[j] = x[j];
+}
+
 void rctm_orbit(int64_t rows, const double *restrict keys, double *restrict state,
                 int64_t skip, int64_t n, double *restrict out)
 {
     int64_t r = 0;
-    for (; r + 4 <= rows; r += 4) {
-        const params a = load(keys + 5 * r), b = load(keys + 5 * r + 5),
-                     c = load(keys + 5 * r + 10), d = load(keys + 5 * r + 15);
-        double xa = state[r], xb = state[r + 1], xc = state[r + 2], xd = state[r + 3];
-        double ma = reflect(xa), mb = reflect(xb), mc = reflect(xc), md = reflect(xd);
-        double *oa = out + r * n, *ob = oa + n, *oc = ob + n, *od = oc + n;
-        for (int64_t i = -skip; i < n; i++) {
-            if (i >= 0) {
-                oa[i] = xa;
-                ob[i] = xb;
-                oc[i] = xc;
-                od[i] = xd;
-            }
-            xa = step(xa, &ma, a);
-            xb = step(xb, &mb, b);
-            xc = step(xc, &mc, c);
-            xd = step(xd, &md, d);
-        }
-        state[r] = xa;
-        state[r + 1] = xb;
-        state[r + 2] = xc;
-        state[r + 3] = xd;
-    }
-    for (; r < rows; r++) {
-        const params a = load(keys + 5 * r);
-        double xa = state[r], ma = reflect(xa);
-        double *oa = out + r * n;
-        for (int64_t i = -skip; i < n; i++) {
-            if (i >= 0)
-                oa[i] = xa;
-            xa = step(xa, &ma, a);
-        }
-        state[r] = xa;
-    }
+    for (; r + 4 <= rows; r += 4)
+        lanes(4, keys + 5 * r, state + r, skip, n, out + r * n);
+    for (; r < rows; r++)
+        lanes(1, keys + 5 * r, state + r, skip, n, out + r * n);
 }

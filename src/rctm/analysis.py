@@ -212,6 +212,8 @@ def key_sensitivity_run(base: MapKey, vary: str = "mu", delta: float = DEFAULT_D
     _check_vary(vary)
     if sequences < 2:
         raise ValueError(f"sequences must be >= 2, got {sequences}")
+    if length < 2:
+        raise ValueError(f"length must be >= 2, got {length}")
     if not math.isfinite(delta):
         raise ValueError("delta must be finite")
     base_value = getattr(base, vary)
@@ -254,6 +256,8 @@ def entropy_sweep(base: MapKey, sequences: int = 100, length: int = 100_000,
     """Mean 8-bit entropy over sequences seeded at x0 + k*seed_increment."""
     if sequences < 1:
         raise ValueError(f"sequences must be >= 1, got {sequences}")
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
     keys = [make_key(base.mu, base.x0 + k * seed_increment) for k in range(sequences)]
     # blocks of 8 keys (two lockstep groups of the orbit loop) keep memory flat
     entropies = np.array([byte_entropy(quantize_values(row)) for i in range(0, sequences, 8)

@@ -9,6 +9,7 @@ output is byte-deterministic for a fixed invocation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import inspect
 import json
@@ -37,7 +38,8 @@ ENT_THRESHOLDS = {
 # The tuning options of `sweep` and `analyze-dynamics` default to None, "not given".
 # Per --kind or --what, each table maps the options it reads to the library parameter
 # they fill (None: read by the command).  An option left out takes that parameter's
-# default; one given to a kind that does not read it is refused before any output.
+# default; one given to a kind that does not read it is refused before any output, and
+# a count below the floor of the parameter it fills is refused under the option's name.
 _PERTURBATION = {"delta": "delta", "vary": "vary", "length": "length", "burn_in": "burn_in"}
 SWEEP_READS = {
     "correlation": {**_PERTURBATION, "pairs": "pairs", "pairs_csv": None},
@@ -72,6 +74,20 @@ def _given(args, table: dict, kind: str, owner: str) -> dict:
         if reads[dest]:
             kwargs[reads[dest]] = value
     return kwargs
+
+
+@contextlib.contextmanager
+def _under_options(reads: dict, kwargs: dict):
+    """Re-raise a library count refusal, "<param> must be >= <floor>, got <value>",
+    under the option of ``reads`` that filled ``param`` in ``kwargs``."""
+    try:
+        yield
+    except ValueError as exc:
+        param, _, rest = str(exc).partition(" must be >= ")
+        given = {p: dest for dest, p in reads.items() if p in kwargs}
+        if param not in given:
+            raise
+        raise ValueError(f"--{given[param].replace('_', '-')} must be >= {rest}") from exc
 
 
 def _used(func, kwargs: dict, name: str):
@@ -228,8 +244,7 @@ def _dynamics_key(mu: float, x0: float) -> MapKey:
 
 def _mu_grid(mu_min: float = 2.001, mu_max: float = 99.999,
              grid_points: int = 200) -> list[float]:
-    if grid_points < 1:
-        raise ValueError(f"grid points must be >= 1, got {grid_points}")
+    _check_bits(grid_points, "--grid-points")
     return [float(v) for v in np.linspace(mu_min, mu_max, grid_points)]
 
 
@@ -238,30 +253,31 @@ def cmd_analyze_dynamics(args) -> int:
     spec = _given(args, GRID_READS, "grid" if args.mu is None else "single",
                   f"--what {args.what} with --mu")
     grid = _mu_grid(**spec) if args.mu is None else [args.mu]
-    if args.what == "bifurcation":
-        result = dynamics.bifurcation_sample(grid, args.x0, **kwargs)
-        if result.skipped_mu:
-            print(f"skipped unsupported mu values: {result.skipped_mu}", file=sys.stderr)
-        header, rows = ["mu", "x"], list(zip(result.mu.tolist(), result.x.tolist()))
-        doc = {"what": "bifurcation", "x0": args.x0, "burn_in": result.settle,
-               "iterations": result.keep, "skipped_mu": result.skipped_mu,
-               "points": [list(row) for row in rows]}
-    elif args.what == "lyapunov":
-        estimates = dynamics.lyapunov_grid(grid, args.x0, **kwargs)
-        header, rows = ["mu", "lambda"], [(e.mu, e.exponent) for e in estimates]
-        doc = {"what": "lyapunov", "x0": args.x0,
-               "iterations": _used(dynamics.lyapunov_grid, kwargs, "n"),
-               "burn_in": _used(dynamics.lyapunov_grid, kwargs, "burn_in"),
-               "estimates": [{"mu": e.mu, "lambda": e.exponent,
-                              "n_samples": e.n_samples} for e in estimates]}
-    else:
-        header, rows = ["mu", "coverage"], [
-            (mu, dynamics.phase_coverage(_dynamics_key(mu, args.x0), **kwargs))
-            for mu in grid]
-        doc = {"what": "coverage", "x0": args.x0,
-               "iterations": _used(dynamics.phase_coverage, kwargs, "n"),
-               "bins": _used(dynamics.phase_coverage, kwargs, "bins"),
-               "points": [{"mu": mu, "coverage": cov} for mu, cov in rows]}
+    with _under_options(DYNAMICS_READS[args.what], kwargs):
+        if args.what == "bifurcation":
+            result = dynamics.bifurcation_sample(grid, args.x0, **kwargs)
+            if result.skipped_mu:
+                print(f"skipped unsupported mu values: {result.skipped_mu}", file=sys.stderr)
+            header, rows = ["mu", "x"], list(zip(result.mu.tolist(), result.x.tolist()))
+            doc = {"what": "bifurcation", "x0": args.x0, "burn_in": result.settle,
+                   "iterations": result.keep, "skipped_mu": result.skipped_mu,
+                   "points": [list(row) for row in rows]}
+        elif args.what == "lyapunov":
+            estimates = dynamics.lyapunov_grid(grid, args.x0, **kwargs)
+            header, rows = ["mu", "lambda"], [(e.mu, e.exponent) for e in estimates]
+            doc = {"what": "lyapunov", "x0": args.x0,
+                   "iterations": _used(dynamics.lyapunov_grid, kwargs, "n"),
+                   "burn_in": _used(dynamics.lyapunov_grid, kwargs, "burn_in"),
+                   "estimates": [{"mu": e.mu, "lambda": e.exponent,
+                                  "n_samples": e.n_samples} for e in estimates]}
+        else:
+            header, rows = ["mu", "coverage"], [
+                (mu, dynamics.phase_coverage(_dynamics_key(mu, args.x0), **kwargs))
+                for mu in grid]
+            doc = {"what": "coverage", "x0": args.x0,
+                   "iterations": _used(dynamics.phase_coverage, kwargs, "n"),
+                   "bins": _used(dynamics.phase_coverage, kwargs, "bins"),
+                   "points": [{"mu": mu, "coverage": cov} for mu, cov in rows]}
     if args.format == "csv":
         _write_csv(args.output, header, ((repr(mu), repr(v)) for mu, v in rows))
     else:
@@ -333,54 +349,55 @@ def cmd_test_ent(args) -> int:
 def cmd_sweep(args) -> int:
     kwargs = _given(args, SWEEP_READS, args.kind, f"--kind {args.kind}")
     key = make_key(args.mu, args.x0)
-    if args.kind in ("correlation", "differential"):
-        result = analysis.correlation_sweep(key, **kwargs)
-        payload = {
-            "kind": args.kind,
-            "base_key": _key_meta(result.base_key),
-            "vary": result.vary,
-            "delta": result.delta,
-            "delta_hex": float(result.delta).hex(),
-            "pairs": result.pairs,
-            "length": result.length,
-            "burn_in": result.burn_in,
-            "skipped_offsets": list(result.skipped_offsets),
-            "aggregates": result.aggregates(),
-        }
-        if args.pairs_csv:
-            _write_csv(args.pairs_csv, ["pair", "correlation", "uaci_pct", "npcr_pct"],
-                       ((i + 1, repr(float(result.correlations[i])),
-                         repr(float(result.uaci_pct[i])), repr(float(result.npcr_pct[i])))
-                        for i in range(result.pairs)))
-    elif args.kind == "sensitivity":
-        result = analysis.key_sensitivity_run(key, **kwargs)
-        payload = {
-            "kind": "sensitivity",
-            "case": f"vary_{result.vary}",
-            "base_key": _key_meta(key),
-            "delta": result.delta,
-            "delta_hex": float(result.delta).hex(),
-            "sequences": len(result.keys),
-            "length": result.states.shape[1],
-            "burn_in": result.burn_in,
-            "offsets": list(result.offsets),
-            "skipped_offsets": list(result.skipped_offsets),
-            "pairwise_correlations": result.pairwise_correlations,
-            "max_abs_off_diagonal": result.max_off_diagonal(),
-            "preview": result.preview,
-        }
-    else:
-        result = analysis.entropy_sweep(key, **kwargs)
-        payload = {
-            "kind": "entropy",
-            "base_key": _key_meta(key),
-            "sequences": result.sequences,
-            "length": result.length,
-            "burn_in": result.burn_in,
-            "seed_increment": result.seed_increment,
-            "mean_entropy": result.mean_entropy,
-            "entropies": result.entropies,
-        }
+    with _under_options(SWEEP_READS[args.kind], kwargs):
+        if args.kind in ("correlation", "differential"):
+            result = analysis.correlation_sweep(key, **kwargs)
+            payload = {
+                "kind": args.kind,
+                "base_key": _key_meta(result.base_key),
+                "vary": result.vary,
+                "delta": result.delta,
+                "delta_hex": float(result.delta).hex(),
+                "pairs": result.pairs,
+                "length": result.length,
+                "burn_in": result.burn_in,
+                "skipped_offsets": list(result.skipped_offsets),
+                "aggregates": result.aggregates(),
+            }
+            if args.pairs_csv:
+                _write_csv(args.pairs_csv, ["pair", "correlation", "uaci_pct", "npcr_pct"],
+                           ((i + 1, repr(float(result.correlations[i])),
+                             repr(float(result.uaci_pct[i])), repr(float(result.npcr_pct[i])))
+                            for i in range(result.pairs)))
+        elif args.kind == "sensitivity":
+            result = analysis.key_sensitivity_run(key, **kwargs)
+            payload = {
+                "kind": "sensitivity",
+                "case": f"vary_{result.vary}",
+                "base_key": _key_meta(key),
+                "delta": result.delta,
+                "delta_hex": float(result.delta).hex(),
+                "sequences": len(result.keys),
+                "length": result.states.shape[1],
+                "burn_in": result.burn_in,
+                "offsets": list(result.offsets),
+                "skipped_offsets": list(result.skipped_offsets),
+                "pairwise_correlations": result.pairwise_correlations,
+                "max_abs_off_diagonal": result.max_off_diagonal(),
+                "preview": result.preview,
+            }
+        else:
+            result = analysis.entropy_sweep(key, **kwargs)
+            payload = {
+                "kind": "entropy",
+                "base_key": _key_meta(key),
+                "sequences": result.sequences,
+                "length": result.length,
+                "burn_in": result.burn_in,
+                "seed_increment": result.seed_increment,
+                "mean_entropy": result.mean_entropy,
+                "entropies": result.entropies,
+            }
     _write_json(args.output, payload)
     return 0
 

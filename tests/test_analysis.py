@@ -260,6 +260,11 @@ class TestKeySensitivity:
         assert [key.mu for key in result.keys] == [base.mu] * 5
         assert len({key.x0 for key in result.keys}) == 5
 
+    def test_single_sample_orbits_refused_under_length(self):
+        # a correlation needs two samples per orbit, as in correlation_sweep
+        with pytest.raises(ValueError, match="^length must be >= 2, got 1$"):
+            key_sensitivity_run(make_key(49.13, 0.28), length=1)
+
 
 class TestHistogram:
     def test_perfectly_uniform(self):
@@ -313,6 +318,10 @@ class TestEntropySweep:
         with pytest.raises(InvalidKeyError):
             entropy_sweep(make_key(61.81, 0.999999), sequences=100, length=100,
                           seed_increment=2.0 ** -10)
+
+    def test_empty_orbits_refused_under_length(self):
+        with pytest.raises(ValueError, match="^length must be >= 1, got 0$"):
+            entropy_sweep(make_key(61.81, 0.23), length=0)
 
 
 class TestKeySpace:

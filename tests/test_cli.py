@@ -480,6 +480,26 @@ class TestTuningOptions:
         assert err == f"error: {option} is not read by {owner}\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, option, value, floor", [
+        (["sweep", "--kind", "entropy", *KEY], "--burn-in", -1, 0),
+        (["sweep", "--kind", "entropy", *KEY], "--length", 0, 1),
+        (["sweep", "--kind", "sensitivity", *KEY], "--sequences", 1, 2),
+        (["sweep", "--kind", "sensitivity", *KEY], "--length", 1, 2),
+        (["sweep", "--kind", "correlation", *KEY], "--pairs", 0, 1),
+        (["analyze-dynamics", "--what", "bifurcation"], "--iterations", 0, 1),
+        (["analyze-dynamics", "--what", "lyapunov"], "--iterations", 0, 1),
+        (["analyze-dynamics", "--what", "lyapunov"], "--burn-in", -1, 0),
+        (["analyze-dynamics", "--what", "coverage"], "--bins", 1, 2),
+        (["analyze-dynamics", "--what", "lyapunov"], "--grid-points", 0, 1),
+    ])
+    def test_count_below_its_floor_is_refused_under_the_option(
+            self, tmp_path, monkeypatch, capsys, argv, option, value, floor):
+        # the library refuses the count; the message names the option that filled it
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, option, value, "-o", "out.json"]) == 1
+        assert capsys.readouterr().err == f"error: {option} must be >= {floor}, got {value}\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("option", ["--settle", "--keep"])
     def test_settle_and_keep_are_gone(self, tmp_path, option):
         with pytest.raises(SystemExit) as exc:
