@@ -286,7 +286,7 @@ def cmd_analyze_dynamics(args) -> int:
 
 
 def cmd_test_nist(args) -> int:
-    _check_bits(args.bits, "--bits")
+    _check_bits(args.bits, "--bits", nist.SUBSET_MIN_BITS)
     _check_bits(args.streams, "--streams")
     _check_bits(args.burn_in, "--burn-in", 0)
     key = make_key(args.mu, args.x0)

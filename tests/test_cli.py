@@ -158,12 +158,14 @@ class TestStreamedWriters:
         ["export", "--bits", 100, "--segments", 0], ["export", "--bits", 100, "--segments", -2],
         ["test-nist", "--streams", 2, "--bits", -5], ["test-ent", "--bytes", 0],
         ["test-nist", "--streams", 0], ["test-nist", "--burn-in", -2],
-        ["test-ent", "--burn-in", -3],
+        ["test-ent", "--burn-in", -3], ["test-nist", "--streams", 2, "--bits", 100],
     ])
     def test_invalid_counts_exit_1_before_any_file(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         assert run([*argv, *KEY, "-o", "out"]) == 1
-        floors = {"--bits": 1, "--bytes": 1, "--segments": 1, "--streams": 1, "--burn-in": 0}
+        # test-nist's streams run the whole NIST subset, which needs 128 bits
+        floors = {"--bits": 128 if argv[0] == "test-nist" else 1, "--bytes": 1,
+                  "--segments": 1, "--streams": 1, "--burn-in": 0}
         [(option, count)] = [(arg, argv[i + 1]) for i, arg in enumerate(argv)
                              if arg in floors and argv[i + 1] < floors[arg]]
         # the option and the value given, not the library's name for it or its

@@ -1,6 +1,5 @@
 import itertools
 import math
-import re
 import sys
 import threading
 import time
@@ -384,38 +383,99 @@ class TestDft:
         _, p = dft(bits)
         assert p < 1e-10
 
-    def test_given_spectrum_equals_own_transform(self):
-        # one pair of buffers for two streams: the second stream's count must
+    def test_given_count_equals_own_count(self):
+        # one set of buffers for two streams: the second stream's count must
         # not see anything the first left in them
         rng = np.random.default_rng(16)
         first = rng.integers(0, 2, size=2**17 + 3, dtype=np.uint8)
         second = (rng.random(first.size) < 0.48).astype(np.uint8)
-        spec = np.empty(first.size // 2 + 1, dtype=np.complex128)
+        plan = nist._four_step(first.size)
         for b in (first, second):
-            assert dft(b, spectrum=np.fft.rfft(2.0 * b - 1.0, out=spec)) == dft(b)
+            assert dft(b, count=nist._spectral_count(b, plan)) == dft(b)
         assert dft(first) != dft(second)
 
-    @pytest.mark.parametrize("shape", [(500,), (502,), (1, 501), (501, 1)])
-    def test_spectrum_of_another_shape_rejected(self, shape):
-        # 1001 bits have 501 transform terms; a spectrum of any other shape
-        # is refused, not counted in part or past its end
-        spectrum = np.zeros(shape, dtype=np.complex128)
-        with pytest.raises(ValueError, match=rf"^spectrum of 1001 bits needs shape \(501,\), "
-                                             rf"got {re.escape(str(shape))}$"):
-            dft(np.ones(1001, dtype=np.uint8), spectrum=spectrum)
+    @pytest.mark.parametrize("count", [-1, 501, -500, 10**6])
+    def test_count_outside_its_range_rejected(self, count):
+        # 1001 bits have 500 moduli to count; a count outside [0, 500] is
+        # refused, not turned into a statistic
+        with pytest.raises(ValueError, match=rf"^count must lie in \[0, 500\], got {count}$"):
+            dft(np.ones(1001, dtype=np.uint8), count=count)
+
+    @pytest.mark.parametrize("count", [0, 500])
+    def test_count_at_either_end_of_its_range_accepted(self, count):
+        d, p = dft(np.ones(1001, dtype=np.uint8), count=count)
+        assert d == (count - 0.95 * 1001 / 2) / math.sqrt(1001 * 0.95 * 0.05 / 4)
+        assert 0.0 <= p <= 1.0
+
+
+def rfft_count(b):
+    """The spectral test's count from one whole-stream rfft, as it was taken
+    before the four-step transform."""
+    n = b.size
+    moduli = np.abs(np.fft.rfft(2.0 * b - 1.0)[:n // 2])
+    return int(np.count_nonzero(moduli < math.sqrt(math.log(20.0) * n)))
+
+
+# the largest gap allowed between a four-step modulus and rfft's: 2.7e-12
+# was measured on the criterion-1 streams, moduli up to about 5000
+MODULUS_BOUND = 1e-11
+
+
+class TestSpectralCount:
+    # every shape the factoring takes: n1 = n2 (8 is 2 x 4, 9, 1024, 10^6),
+    # n1 = 1 for a prime n (2^16 + 1, 999983), n1 = 2 (2 x 999983), odd n2
+    # (1001 = 13 x 77, 255255 = 455 x 561, 10^5 + 7 = 97 x 1031), and a
+    # twiddle table with a part-filled last row group (2^17 + 3 = 245 x 535)
+    @pytest.mark.parametrize("n, n1", [
+        (8, 2), (9, 3), (128, 8), (1001, 13), (1024, 32), (2**16 + 1, 1), (2**17 + 3, 245),
+        (10**5 + 7, 97), (255255, 455), (999983, 1), (2 * 999983, 2), (10**6, 1000),
+    ])
+    def test_count_equals_rfft_count(self, n, n1):
+        plan = nist._four_step(n)
+        assert (plan.n1, plan.n1 * plan.n2) == (n1, n)
+        pcg = np.random.default_rng(n).integers(0, 2, size=n, dtype=np.uint8)
+        rctm = generate_bits(make_key(61.81, 0.23), n, burn_in=1000).bits
+        for b in (pcg, rctm):
+            assert nist._spectral_count(b, plan) == rfft_count(b)
+
+    def test_moduli_agree_with_rfft_on_the_criterion_1_streams(self):
+        # the exactness argument of _spectral_count: every modulus lies
+        # within MODULUS_BOUND of rfft's, and none lies that close to T, so
+        # each comparison with T, and the count, is rfft's
+        n = 10**6
+        threshold = math.sqrt(math.log(20.0) * n)
+        plan = nist._four_step(n)
+        # X_k is kept at [k1, k2], k = k2 + n2 k1; rfft keeps X_min(k, n - k)
+        k = np.arange(plan.n2 // 2 + 1) + plan.n2 * np.arange(plan.n1)[:, None]
+        k = np.minimum(k, n - k)
+        for s in segmented_streams(make_key(61.81, 0.23), 20, n, burn_in=1000):
+            count = nist._spectral_count(s.bits, plan)
+            moduli = np.abs(np.fft.rfft(2.0 * s.bits - 1.0))
+            assert np.max(np.abs(np.abs(plan.spectrum) - moduli[k])) < MODULUS_BOUND
+            assert np.min(np.abs(moduli - threshold)) > MODULUS_BOUND
+            assert count == int(np.count_nonzero(moduli[:n // 2] < threshold))
+
+    def test_in_place_fft_down_axis_0_equals_the_unaliased_call(self):
+        # the second pass writes its output over its input
+        rng = np.random.default_rng(18)
+        y = rng.normal(size=(245, 268)) + 1j * rng.normal(size=(245, 268))
+        expected = np.fft.fft(y, axis=0)
+        assert np.fft.fft(y, axis=0, out=y) is y
+        assert np.array_equal(y, expected)
 
 
 def test_megabit_tests_allocate_no_stream_sized_temporaries():
     # a 10^6-bit stream is 1 MB of uint8, and one pass over all of it in
     # int32, intp or float64 would allocate 4 to 8 MB; each test's
     # temporaries stay below 2 MiB, the spectral test's below 1 MiB, and
-    # the whole subset's, with the transform on a worker thread beside the
+    # the whole subset's, with the count on a worker thread beside the
     # other tests (tracemalloc sees both threads), below 3 MiB.  dft and
-    # stream_outcomes each allocate the transform's two buffers, the n
-    # +/-1 values in float64 and the n/2 + 1 terms in complex128, which
+    # stream_outcomes each allocate the four-step buffers at n1 = n2 = 1000:
+    # the 1000 x 501 complex128 spectrum and its bool twin, 32 rows of 1000
+    # float64 values, and two 32 x 501 complex128 twiddle tables, which
     # their bounds add
     bits = np.random.default_rng(17).integers(0, 2, size=10**6, dtype=np.uint8)
-    buffers = bits.size * 8 + (bits.size // 2 + 1) * 16
+    buffers = 1000 * 501 * (16 + 1) + 32 * 1000 * 8 + 2 * 32 * 501 * 16
     bounds = {"dft": buffers + 2**20, "stream_outcomes": buffers + 3 * 2**20}
     for name in (*nist.TEST_NAMES, "stream_outcomes"):
         test = getattr(nist, name)
@@ -470,19 +530,19 @@ def rows_one_by_one(bits):
             for entry, (stat, p) in zip(ENTRY_NAMES, results)]
 
 
-def record_transforms(monkeypatch, fail=False):
-    """Wrap the spectral transform: the list gets the thread of every call,
-    and the wrapper raises instead when fail is set."""
+def record_counts(monkeypatch, fail=False):
+    """Wrap the spectral count: the list gets the thread of every call, and
+    the wrapper raises instead when fail is set."""
     threads = []
-    transform = nist._spectral_transform
+    count = nist._spectral_count
 
     def recorded(*args):
         threads.append(threading.current_thread())
         if fail:
             raise RuntimeError("transform failed")
-        return transform(*args)
+        return count(*args)
 
-    monkeypatch.setattr(nist, "_spectral_transform", recorded)
+    monkeypatch.setattr(nist, "_spectral_count", recorded)
     return threads
 
 
@@ -495,8 +555,8 @@ def joined(threads):
 
 class TestSpectralWorker:
     """The battery and stream_outcomes share one loop: it runs the spectral
-    transform on one worker thread beside the other eight tests, for all
-    its streams."""
+    count, transform and count together, on one worker thread beside the
+    other eight tests, for all its streams."""
 
     @pytest.mark.parametrize("n, density", [
         (128, 0.5), (2**16 - 1, 0.5), (2**16 + 1, 0.5), (2**17 + 3, 0.5),
@@ -524,7 +584,7 @@ class TestSpectralWorker:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(nist, name, wrapper)
         in_flight, most = [0], [0]
-        transform = nist._spectral_transform
+        spectral_count = nist._spectral_count
         workers = []
 
         def counted(*args):
@@ -532,11 +592,11 @@ class TestSpectralWorker:
             in_flight[0] += 1
             most[0] = max(most[0], in_flight[0])
             try:
-                return transform(*args)
+                return spectral_count(*args)
             finally:
                 in_flight[0] -= 1
 
-        monkeypatch.setattr(nist, "_spectral_transform", counted)
+        monkeypatch.setattr(nist, "_spectral_count", counted)
         three = [stream(5000, 0.5), stream(5000, 0.3), stream(5000, "alternating")]
         # a battery of three streams, then a lone stream_outcomes
         for run, count in ((lambda: nist_battery(three), 3), (lambda: stream_outcomes(three[0]), 1)):
@@ -551,9 +611,10 @@ class TestSpectralWorker:
             assert joined(workers)
 
     @pytest.mark.parametrize("run", [stream_outcomes, lambda b: nist_battery([b, b])])
+    # "transform" is the worker's side: the spectral transform and its count
     @pytest.mark.parametrize("side", ["test", "transform"])
     def test_an_exception_on_either_side_reaches_the_caller(self, monkeypatch, run, side):
-        workers = record_transforms(monkeypatch, fail=side == "transform")
+        workers = record_counts(monkeypatch, fail=side == "transform")
         if side == "test":
             def failing(bits, **params):
                 raise RuntimeError("test failed")
