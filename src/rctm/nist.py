@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -466,36 +466,29 @@ def serial(bits, m: int = 2) -> tuple[tuple[float, float], tuple[float, float]]:
 _ROWS = 32
 
 
-class _FourStep(NamedTuple):
-    """The buffers and twiddle tables of the four-step transform of n = n1 n2 points."""
+class _FourStep:
+    """The buffers and twiddle tables of the DFT of n points as a four-step
+    transform: n = n1 n2, with n1 the largest divisor of n at or below
+    sqrt n (1000 x 1000 at 10^6; n1 = 1 for a prime n, whose transform is
+    one rfft).  Built per call that needs them: no table is cached on the
+    module or built at import."""
 
-    n1: int
-    n2: int
-    spectrum: np.ndarray  # (n1, n2 // 2 + 1) complex128: X[k2 + n2 k1] at [k1, k2]
-    values: np.ndarray  # (min(_ROWS, n1), n2) float64: one pass's rows of +/-1 values
-    below: np.ndarray  # the spectrum's shape in bool: which moduli lie below the threshold
-    near: np.ndarray  # W_n^(c k2) at [c, k2], c < _ROWS
-    far: np.ndarray  # W_n^(_ROWS a k2) at [a, k2], _ROWS a < n1
-
-
-def _four_step(n: int) -> _FourStep:
-    """Buffers and tables for the DFT of n points, with n1 the largest divisor
-    of n at or below sqrt n (1000 x 1000 at 10^6; n1 = 1 for a prime n,
-    whose transform is one rfft).  Built per call that needs them: no table
-    is cached on the module or built at import."""
-    n1 = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
-    n2 = n // n1
-    k2 = np.arange(n2 // 2 + 1)
-
-    def twiddles(step: int, rows: int) -> np.ndarray:
-        # the exponent is reduced mod n in integers before it becomes an angle
-        return np.exp((np.arange(rows)[:, None] * step * k2 % n) * (-2j * math.pi / n))
-
-    rows = min(_ROWS, n1)
-    return _FourStep(n1, n2, np.empty((n1, k2.size), dtype=np.complex128),
-                     np.empty((rows, n2), dtype=np.float64),
-                     np.empty((n1, k2.size), dtype=bool),
-                     twiddles(1, rows), twiddles(_ROWS, -(-n1 // _ROWS)))
+    def __init__(self, n: int):
+        self.n1 = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+        self.n2 = n // self.n1
+        k2 = np.arange(self.n2 // 2 + 1)
+        rows = min(_ROWS, self.n1)
+        # X[k2 + n2 k1] at [k1, k2], and whether its modulus lies below the threshold
+        self.spectrum = np.empty((self.n1, k2.size), dtype=np.complex128)
+        self.below = np.empty(self.spectrum.shape, dtype=bool)
+        # one pass's rows of +/-1 values
+        self.values = np.empty((rows, self.n2), dtype=np.float64)
+        # W_n^(c k2) at [c, k2] for c < _ROWS, and W_n^(_ROWS a k2) at [a, k2] for
+        # _ROWS a < n1; the exponent is reduced mod n in integers before it
+        # becomes an angle
+        self.near, self.far = (
+            np.exp((np.arange(count)[:, None] * step * k2 % n) * (-2j * math.pi / n))
+            for step, count in ((1, rows), (_ROWS, -(-self.n1 // _ROWS))))
 
 
 def _spectral_count(b: np.ndarray, plan: _FourStep) -> int:
@@ -529,7 +522,7 @@ def _spectral_count(b: np.ndarray, plan: _FourStep) -> int:
     (2.7e-12 measured, 1.8e-12 near T = 1731, where an ulp is 2.3e-13),
     and none within 1e-11 of T (the nearest lies 1.2e-4 away).
     """
-    n1, n2, spectrum, values, below, near, far = plan
+    n1, n2, spectrum, values, below = plan.n1, plan.n2, plan.spectrum, plan.values, plan.below
     n = n1 * n2
     layout = b.reshape(n2, n1)  # x_j at [i2, i1]
     for a, r in enumerate(range(0, n1, _ROWS)):
@@ -538,8 +531,8 @@ def _spectral_count(b: np.ndarray, plan: _FourStep) -> int:
         np.multiply(layout[:, r:r + _ROWS].T, 2.0, out=x)
         x -= 1.0
         np.fft.rfft(x, axis=1, out=rows)
-        rows *= near[:rows.shape[0]]
-        rows *= far[a]
+        rows *= plan.near[:rows.shape[0]]
+        rows *= plan.far[a]
     np.fft.fft(spectrum, axis=0, out=spectrum)
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
     for r in range(0, n1, _ROWS):
@@ -564,7 +557,7 @@ def dft(bits, *, count: int | None = None) -> tuple[float, float]:
     b = _require("dft", bits)
     n = b.size
     if count is None:
-        count = _spectral_count(b, _four_step(n))
+        count = _spectral_count(b, _FourStep(n))
     elif not 0 <= count <= n // 2:
         raise ValueError(f"count must lie in [0, {n // 2}], got {count}")
     n0 = 0.95 * n / 2.0
@@ -601,7 +594,7 @@ def _subset_rows(streams, n: int) -> list[list[TestOutcome]]:
     # programs that import rctm run no battery
     from concurrent.futures import ThreadPoolExecutor
 
-    plan = _four_step(n)
+    plan = _FourStep(n)
     rows = []
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="rctm-spectral") as worker:
         for s in streams:

@@ -389,7 +389,7 @@ class TestDft:
         rng = np.random.default_rng(16)
         first = rng.integers(0, 2, size=2**17 + 3, dtype=np.uint8)
         second = (rng.random(first.size) < 0.48).astype(np.uint8)
-        plan = nist._four_step(first.size)
+        plan = nist._FourStep(first.size)
         for b in (first, second):
             assert dft(b, count=nist._spectral_count(b, plan)) == dft(b)
         assert dft(first) != dft(second)
@@ -431,7 +431,7 @@ class TestSpectralCount:
         (10**5 + 7, 97), (255255, 455), (999983, 1), (2 * 999983, 2), (10**6, 1000),
     ])
     def test_count_equals_rfft_count(self, n, n1):
-        plan = nist._four_step(n)
+        plan = nist._FourStep(n)
         assert (plan.n1, plan.n1 * plan.n2) == (n1, n)
         pcg = np.random.default_rng(n).integers(0, 2, size=n, dtype=np.uint8)
         rctm = generate_bits(make_key(61.81, 0.23), n, burn_in=1000).bits
@@ -444,7 +444,7 @@ class TestSpectralCount:
         # each comparison with T, and the count, is rfft's
         n = 10**6
         threshold = math.sqrt(math.log(20.0) * n)
-        plan = nist._four_step(n)
+        plan = nist._FourStep(n)
         # X_k is kept at [k1, k2], k = k2 + n2 k1; rfft keeps X_min(k, n - k)
         k = np.arange(plan.n2 // 2 + 1) + plan.n2 * np.arange(plan.n1)[:, None]
         k = np.minimum(k, n - k)
