@@ -578,9 +578,9 @@ def stream_outcomes(bits) -> list[TestOutcome]:
 def _subset_rows(streams, n: int) -> list[list[TestOutcome]]:
     """The rows of :func:`stream_outcomes` for each of the n-bit streams.
 
-    One worker thread computes each stream's spectral count, transform
-    and count together in one set of four-step buffers, while the calling
-    thread runs the other eight tests; dft then takes the count.  Every
+    One worker thread transforms and counts each stream's spectrum in one
+    set of four-step buffers while the calling thread runs the other
+    eight tests; dft then takes the count.  Every
     result is the one the tests give called one by one.  Only the
     untraced count runs on the worker: the tests are looked up on the
     module when called, so a wrapper set there (as the benchmark's tracer,

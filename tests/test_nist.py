@@ -409,8 +409,8 @@ class TestDft:
 
 
 def rfft_count(b):
-    """The spectral test's count from one whole-stream rfft, as it was taken
-    before the four-step transform."""
+    """The spectral test's count from one whole-stream rfft: the reference
+    the four-step count is held to."""
     n = b.size
     moduli = np.abs(np.fft.rfft(2.0 * b - 1.0)[:n // 2])
     return int(np.count_nonzero(moduli < math.sqrt(math.log(20.0) * n)))
@@ -422,10 +422,11 @@ MODULUS_BOUND = 1e-11
 
 
 class TestSpectralCount:
-    # every shape the factoring takes: n1 = n2 (8 is 2 x 4, 9, 1024, 10^6),
-    # n1 = 1 for a prime n (2^16 + 1, 999983), n1 = 2 (2 x 999983), odd n2
-    # (1001 = 13 x 77, 255255 = 455 x 561, 10^5 + 7 = 97 x 1031), and a
-    # twiddle table with a part-filled last row group (2^17 + 3 = 245 x 535)
+    # every shape the factoring takes: n1 = n2 (9, 1024, 10^6), n1 < n2
+    # (8 = 2 x 4, 128 = 8 x 16), n1 = 1 for a prime n (2^16 + 1, 999983),
+    # n1 = 2 (2 x 999983), odd n2 (1001 = 13 x 77, 255255 = 455 x 561,
+    # 10^5 + 7 = 97 x 1031), and a part-filled last group of _ROWS rows
+    # (2^17 + 3 = 245 x 535)
     @pytest.mark.parametrize("n, n1", [
         (8, 2), (9, 3), (128, 8), (1001, 13), (1024, 32), (2**16 + 1, 1), (2**17 + 3, 245),
         (10**5 + 7, 97), (255255, 455), (999983, 1), (2 * 999983, 2), (10**6, 1000),
