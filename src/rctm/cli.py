@@ -20,7 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import analysis, core, dynamics, nist
-from .core import MapKey, ctm_key, make_key
+from .core import MapKey, make_key
 from .ent import ent_battery
 from .prbg import (DEGENERATE_TAIL, orbit_stream, quantize_values, segmented_streams,
                    stream_chunks, threshold_values)
@@ -238,10 +238,6 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _dynamics_key(mu: float, x0: float) -> MapKey:
-    return ctm_key(mu, x0) if 0.0 < mu <= 2.0 else make_key(mu, x0)
-
-
 def _mu_grid(mu_min: float = 2.001, mu_max: float = 99.999,
              grid_points: int = 200) -> list[float]:
     _check_bits(grid_points, "--grid-points")
@@ -253,31 +249,35 @@ def cmd_analyze_dynamics(args) -> int:
     spec = _given(args, GRID_READS, "grid" if args.mu is None else "single",
                   f"--what {args.what} with --mu")
     grid = _mu_grid(**spec) if args.mu is None else [args.mu]
+    keys, skipped = dynamics.grid_keys(grid, args.x0)
+    if not keys:
+        raise ValueError("no supported mu values in grid")
+    supported = [key.mu for key in keys]
     with _under_options(DYNAMICS_READS[args.what], kwargs):
         if args.what == "bifurcation":
-            result = dynamics.bifurcation_sample(grid, args.x0, **kwargs)
-            if result.skipped_mu:
-                print(f"skipped unsupported mu values: {result.skipped_mu}", file=sys.stderr)
+            result = dynamics.bifurcation_sample(supported, args.x0, **kwargs)
             header, rows = ["mu", "x"], list(zip(result.mu.tolist(), result.x.tolist()))
             doc = {"what": "bifurcation", "x0": args.x0, "burn_in": result.settle,
-                   "iterations": result.keep, "skipped_mu": result.skipped_mu,
+                   "iterations": result.keep, "skipped_mu": skipped,
                    "points": [list(row) for row in rows]}
         elif args.what == "lyapunov":
-            estimates = dynamics.lyapunov_grid(grid, args.x0, **kwargs)
+            estimates = dynamics.lyapunov_grid(supported, args.x0, **kwargs)
             header, rows = ["mu", "lambda"], [(e.mu, e.exponent) for e in estimates]
             doc = {"what": "lyapunov", "x0": args.x0,
                    "iterations": _used(dynamics.lyapunov_grid, kwargs, "n"),
                    "burn_in": _used(dynamics.lyapunov_grid, kwargs, "burn_in"),
+                   "skipped_mu": skipped,
                    "estimates": [{"mu": e.mu, "lambda": e.exponent,
                                   "n_samples": e.n_samples} for e in estimates]}
         else:
             header, rows = ["mu", "coverage"], [
-                (mu, dynamics.phase_coverage(_dynamics_key(mu, args.x0), **kwargs))
-                for mu in grid]
+                (key.mu, dynamics.phase_coverage(key, **kwargs)) for key in keys]
             doc = {"what": "coverage", "x0": args.x0,
                    "iterations": _used(dynamics.phase_coverage, kwargs, "n"),
-                   "bins": _used(dynamics.phase_coverage, kwargs, "bins"),
+                   "bins": _used(dynamics.phase_coverage, kwargs, "bins"), "skipped_mu": skipped,
                    "points": [{"mu": mu, "coverage": cov} for mu, cov in rows]}
+    if skipped:
+        print(f"skipped unsupported mu values: {skipped}", file=sys.stderr)
     if args.format == "csv":
         _write_csv(args.output, header, ((repr(mu), repr(v)) for mu, v in rows))
     else:

@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (MU_MAX, MU_MIN, MapKey, _branch_log_slopes, ctm_key, iterate,
-                   iterate_batch, make_key)
+from .core import (MU_MIN, InvalidKeyError, MapKey, _branch_log_slopes, _check_x0, ctm_key,
+                   iterate, iterate_batch, make_key)
 
 @dataclass(frozen=True)
 class LyapunovEstimate:
@@ -39,28 +39,30 @@ class BifurcationResult:
     x0: float
 
 
-def _grid_key(mu: float, x0: float) -> MapKey | None:
-    """Key for a grid value, or None for values the map does not support.
+def grid_keys(mu_grid: Sequence[float], x0: float) -> tuple[list[MapKey], list[float]]:
+    """Keys for the supported grid values in grid order, and the values skipped.
 
-    Tent-arm values (0 < mu <= 2, integers included: no division there) and
-    non-integer mu in (2, 100) are usable; everything else is skipped.
+    x0 is checked once, so a bad x0 is refused, not skipped.  A value in
+    (0, 2] goes to :func:`ctm_key` and any other to :func:`make_key`; it is
+    skipped exactly when that constructor refuses it.
     """
-    if not math.isfinite(mu):
-        return None
-    if 0.0 < mu <= MU_MIN:
-        return ctm_key(mu, x0)
-    if MU_MIN < mu < MU_MAX and mu != int(mu):
-        return make_key(mu, x0)
-    return None
+    _check_x0(float(x0))
+    keys, skipped = [], []
+    for mu in mu_grid:
+        mu = float(mu)
+        try:
+            keys.append((ctm_key if 0.0 < mu <= MU_MIN else make_key)(mu, x0))
+        except InvalidKeyError:
+            skipped.append(mu)
+    return keys, skipped
 
 
 def bifurcation_sample(mu_grid: Sequence[float], x0: float,
                        settle: int = 1000, keep: int = 200) -> BifurcationResult:
     """Sample `keep` successive states per grid value after `settle` iterates.
 
-    Unsupported grid values (integers above 2, values outside (0, 100)) are
-    skipped and reported in the result.  Output holds keep * (valid points)
-    samples in grid order.
+    Grid values :func:`grid_keys` skips are reported in the result.  Output
+    holds keep * (supported values) samples in grid order.
     """
     mu_grid = list(mu_grid)
     if not mu_grid:
@@ -69,16 +71,9 @@ def bifurcation_sample(mu_grid: Sequence[float], x0: float,
         raise ValueError(f"settle must be >= 0, got {settle}")
     if keep < 1:
         raise ValueError(f"keep must be >= 1, got {keep}")
-    keys, valid_mu, skipped = [], [], []
-    for mu in mu_grid:
-        key = _grid_key(float(mu), x0)
-        if key is None:
-            skipped.append(float(mu))
-        else:
-            keys.append(key)
-            valid_mu.append(float(mu))
+    keys, skipped = grid_keys(mu_grid, x0)
     states = iterate_batch(keys, keep, burn_in=settle) if keys else np.empty(0)
-    return BifurcationResult(mu=np.repeat(valid_mu, keep), x=states.ravel(),
+    return BifurcationResult(mu=np.repeat([key.mu for key in keys], keep), x=states.ravel(),
                              skipped_mu=skipped, settle=settle, keep=keep, x0=x0)
 
 
@@ -110,8 +105,8 @@ def lyapunov_expected(mu: float) -> float:
 
 def lyapunov_grid(mu_values: Sequence[float], x0: float, n: int = 100_000,
                   burn_in: int = 100) -> list[LyapunovEstimate]:
-    """Lyapunov estimates over a mu grid; unsupported values are dropped."""
-    keys = [k for mu in mu_values if (k := _grid_key(float(mu), x0)) is not None]
+    """Lyapunov estimates over a mu grid, less the values :func:`grid_keys` skips."""
+    keys, _ = grid_keys(mu_values, x0)
     if not keys:
         raise ValueError("no supported mu values in grid")
     # blocks of 8 keys (two lockstep groups of the orbit loop) keep memory flat

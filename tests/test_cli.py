@@ -222,12 +222,39 @@ class TestDynamicsCommand:
         assert data["points"][0]["coverage"] == 1.0
 
     def test_coverage_rejects_integer_mu(self, tmp_path, capsys):
-        # bifurcation and lyapunov skip an unsupported mu; coverage rejects it
+        # coverage skips an unsupported mu, as the other analyses do; with none left it exits 1
         out = tmp_path / "cov.csv"
         assert run(["analyze-dynamics", "--what", "coverage", "--mu", 4.0,
                     "--iterations", 1000, "-o", out]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("what", ["bifurcation", "lyapunov", "coverage"])
+    def test_integer_grid_values_skipped_and_reported(self, tmp_path, capsys, what, fmt):
+        # 2, 3, ..., 10: only the tent arm's 2.0 has a key
+        out = tmp_path / f"grid.{fmt}"
+        assert run(["analyze-dynamics", "--what", what, "--mu-min", 2, "--mu-max", 10,
+                    "--grid-points", 9, "--iterations", 100, "--format", fmt, "-o", out]) == 0
+        skipped = [3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+        assert capsys.readouterr().err == f"skipped unsupported mu values: {skipped}\n"
+        if fmt == "csv":
+            rows = out.read_text().splitlines()[1:]
+            assert {row.split(",")[0] for row in rows} == {"2.0"}
+        else:
+            data = json.loads(out.read_text())
+            rows = data["estimates"] if what == "lyapunov" else data["points"]
+            assert {row[0] if what == "bifurcation" else row["mu"] for row in rows} == {2.0}
+            assert data["skipped_mu"] == skipped
+
+    @pytest.mark.parametrize("what", ["bifurcation", "lyapunov", "coverage"])
+    def test_no_supported_mu_exits_1_before_any_file(self, tmp_path, monkeypatch, capsys,
+                                                     what):
+        monkeypatch.chdir(tmp_path)
+        assert run(["analyze-dynamics", "--what", what, "--mu", 4.0,
+                    "--iterations", 100, "-o", "out.csv"]) == 1
+        assert capsys.readouterr().err == "error: no supported mu values in grid\n"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("points", [0, -1])
     @pytest.mark.parametrize("what", ["bifurcation", "lyapunov", "coverage"])

@@ -3,14 +3,46 @@ import math
 import numpy as np
 import pytest
 
-from rctm.core import ctm_key, iterate_batch, make_key
+from rctm.core import InvalidKeyError, ctm_key, iterate_batch, make_key
 from rctm.dynamics import (
     bifurcation_sample,
+    grid_keys,
     lyapunov,
     lyapunov_expected,
     lyapunov_grid,
     phase_coverage,
 )
+
+
+def constructed(mu: float, x0: float):
+    """The key the map's own constructor gives for mu, or None if it refuses."""
+    try:
+        return ctm_key(mu, x0) if 0.0 < mu <= 2.0 else make_key(mu, x0)
+    except InvalidKeyError:
+        return None
+
+
+class TestGridKeys:
+    # each edge of either arm, and values refused for each reason
+    GRID = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 2.0, math.nextafter(2.0, 3.0),
+            3.0, 3.5, math.nextafter(100.0, 0.0), 100.0, 150.0]
+
+    def test_a_key_exactly_where_the_constructor_gives_one(self):
+        keys, skipped = grid_keys(self.GRID, 0.23)
+        expected = [constructed(mu, 0.23) for mu in self.GRID]
+        assert keys == [key for key in expected if key is not None]
+        assert [key.mu for key in keys] == [1e-300, 2.0, math.nextafter(2.0, 3.0), 3.5,
+                                            math.nextafter(100.0, 0.0)]
+        assert repr(skipped) == repr([mu for mu, key in zip(self.GRID, expected) if key is None])
+
+    @pytest.mark.parametrize("sample", [
+        lambda grid: grid_keys(grid, 1.0),
+        lambda grid: bifurcation_sample(grid, 1.0),
+        lambda grid: lyapunov_grid(grid, 1.0, n=100),
+    ], ids=["grid_keys", "bifurcation_sample", "lyapunov_grid"])
+    def test_bad_x0_refused_even_with_no_supported_mu(self, sample):
+        with pytest.raises(InvalidKeyError, match=r"^x0 must lie in \(0, 1\), got 1\.0$"):
+            sample([3.0, 150.0, math.nan])
 
 
 class TestBifurcation:
