@@ -225,9 +225,9 @@ PINNED = {
     "cli/dynamics_bifurcation_csv": "4aa08551784ce3e0dd560838969055f1e017ed3bca0f6e4fe4630ec4b3070fe8",
     "cli/dynamics_bifurcation_json": "e28f86bb5743efc1118c88aaa0245e328f900362bf8c5c49cc401e9ad0db2c28",
     "cli/dynamics_lyapunov_csv": "f17fa38cfcb860fa9ded7cfea4a2800dc15303e625be24b215ecc9684773afac",
-    "cli/dynamics_lyapunov_json": "00ff1b40ef408271ad24ddef7533f00e35af1a36226034344e59503532571ea9",
+    "cli/dynamics_lyapunov_json": "8b46980ee07ed81f77b66f64881e497102b540fc5839377c183059e1c8bc490c",
     "cli/dynamics_coverage_csv": "eeaf130aa9d8b9dc9f740269fcad27d690369d7d78fccdeffa768f2415b66a49",
-    "cli/dynamics_coverage_json": "f063a6fd13729ba845ad37502571cbc61b4fe97358e060a8c3c556168728d8db",
+    "cli/dynamics_coverage_json": "6c8e6c12ea47941dd89d7c0f39bb5a9e9849ffe8d9847eeb43bed6dae9e9d285",
     "cli/sweep_correlation_default": "280d41fd54f4f52a8567052e0ec0de0fe2f241815963cce6b24ec478a475c5d0",
     "cli/sweep_differential_burn0": "4d13c6c8bc43d8d70d3a056654de2db59c36e1a1c3aef1bdef497d5cb2577d0b",
     "cli/sweep_sensitivity_vary_mu": "17a4902783b0650f99b39307684cbf9422a70751cf81dd3d620f0df7642d97b9",
