@@ -551,13 +551,15 @@ def dft(bits, *, count: int | None = None) -> tuple[float, float]:
     Uses the moduli of the first n/2 transform terms and the corrected
     variance n * 0.95 * 0.05 / 4.  ``count``, when given, is the number of
     those moduli below the threshold, as :func:`_spectral_count` gives it,
-    and is only checked to lie in [0, n // 2]; without it the call counts
-    its own.
+    and is only checked to be an integer in [0, n // 2]; without it the
+    call counts its own.
     """
     b = _require("dft", bits)
     n = b.size
     if count is None:
         count = _spectral_count(b, _FourStep(n))
+    elif isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ValueError(f"count must be an integer, got {count}")
     elif not 0 <= count <= n // 2:
         raise ValueError(f"count must lie in [0, {n // 2}], got {count}")
     n0 = 0.95 * n / 2.0

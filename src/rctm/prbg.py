@@ -108,6 +108,8 @@ def segmented_streams(key: MapKey, streams: int, bits_per_stream: int,
     """
     if streams < 1:
         raise ValueError(f"streams must be >= 1, got {streams}")
+    if bits_per_stream < 1:
+        raise ValueError(f"bits_per_stream must be >= 1, got {bits_per_stream}")
     whole = generate_bits(key, streams * bits_per_stream, burn_in)
     fp = key.fingerprint()
     return [

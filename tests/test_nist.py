@@ -401,6 +401,12 @@ class TestDft:
         with pytest.raises(ValueError, match=rf"^count must lie in \[0, 500\], got {count}$"):
             dft(np.ones(1001, dtype=np.uint8), count=count)
 
+    @pytest.mark.parametrize("count", [474.5, True])
+    def test_count_that_is_not_an_integer_rejected(self, count):
+        # inside [0, 500], but a fraction or a bool is no count of moduli
+        with pytest.raises(ValueError, match=rf"^count must be an integer, got {count}$"):
+            dft(np.ones(1001, dtype=np.uint8), count=count)
+
     @pytest.mark.parametrize("count", [0, 500])
     def test_count_at_either_end_of_its_range_accepted(self, count):
         d, p = dft(np.ones(1001, dtype=np.uint8), count=count)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rctm import core
+from rctm import core, prbg
 from rctm.core import _CHUNK, iterate, make_key
 from rctm.nist import monobit
 from rctm.prbg import (
@@ -62,6 +62,15 @@ class TestSegmentedStreams:
         segs = segmented_streams(make_key(61.81, 0.23), 2, 100)
         assert segs[0].key_fingerprint.endswith(":0")
         assert segs[1].key_fingerprint.endswith(":1")
+
+    @pytest.mark.parametrize("streams, bits_per_stream", [(3, -2), (2, 0)])
+    def test_bits_per_stream_below_one_refused_under_its_name(self, monkeypatch, streams,
+                                                              bits_per_stream):
+        # the value given, not its product with streams; refused before any bit is made
+        monkeypatch.setattr(prbg, "generate_bits", None)
+        with pytest.raises(ValueError,
+                           match=f"^bits_per_stream must be >= 1, got {bits_per_stream}$"):
+            segmented_streams(make_key(61.81, 0.23), streams, bits_per_stream)
 
 
 class TestPackBytes:
