@@ -250,8 +250,6 @@ def cmd_analyze_dynamics(args) -> int:
                   f"--what {args.what} with --mu")
     grid = _mu_grid(**spec) if args.mu is None else [args.mu]
     keys, skipped = dynamics.grid_keys(grid, args.x0)
-    if not keys:
-        raise ValueError("no supported mu values in grid")
     supported = [key.mu for key in keys]
     with _under_options(DYNAMICS_READS[args.what], kwargs):
         if args.what == "bifurcation":

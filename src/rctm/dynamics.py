@@ -44,7 +44,8 @@ def grid_keys(mu_grid: Sequence[float], x0: float) -> tuple[list[MapKey], list[f
 
     x0 is checked once, so a bad x0 is refused, not skipped.  A value in
     (0, 2] goes to :func:`ctm_key` and any other to :func:`make_key`; it is
-    skipped exactly when that constructor refuses it.
+    skipped exactly when that constructor refuses it.  A grid with no
+    supported value, an empty one included, is refused.
     """
     _check_x0(float(x0))
     keys, skipped = [], []
@@ -54,6 +55,8 @@ def grid_keys(mu_grid: Sequence[float], x0: float) -> tuple[list[MapKey], list[f
             keys.append((ctm_key if 0.0 < mu <= MU_MIN else make_key)(mu, x0))
         except InvalidKeyError:
             skipped.append(mu)
+    if not keys:
+        raise ValueError("no supported mu values in grid")
     return keys, skipped
 
 
@@ -64,15 +67,12 @@ def bifurcation_sample(mu_grid: Sequence[float], x0: float,
     Grid values :func:`grid_keys` skips are reported in the result.  Output
     holds keep * (supported values) samples in grid order.
     """
-    mu_grid = list(mu_grid)
-    if not mu_grid:
-        raise ValueError("mu_grid must be non-empty")
     if settle < 0:
         raise ValueError(f"settle must be >= 0, got {settle}")
     if keep < 1:
         raise ValueError(f"keep must be >= 1, got {keep}")
     keys, skipped = grid_keys(mu_grid, x0)
-    states = iterate_batch(keys, keep, burn_in=settle) if keys else np.empty(0)
+    states = iterate_batch(keys, keep, burn_in=settle)
     return BifurcationResult(mu=np.repeat([key.mu for key in keys], keep), x=states.ravel(),
                              skipped_mu=skipped, settle=settle, keep=keep, x0=x0)
 
@@ -107,8 +107,6 @@ def lyapunov_grid(mu_values: Sequence[float], x0: float, n: int = 100_000,
                   burn_in: int = 100) -> list[LyapunovEstimate]:
     """Lyapunov estimates over a mu grid, less the values :func:`grid_keys` skips."""
     keys, _ = grid_keys(mu_values, x0)
-    if not keys:
-        raise ValueError("no supported mu values in grid")
     # blocks of 8 keys (two lockstep groups of the orbit loop) keep memory flat
     return [
         LyapunovEstimate(mu=key.mu, exponent=float(_branch_log_slopes(row, key).mean()),

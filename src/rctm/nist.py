@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .prbg import BitStream, _as_bits
+from .prbg import BitStream, _as_stream, _bits_at
 
 ALPHA = 0.01
 
@@ -167,28 +167,38 @@ def _gamma_q(a: float, x: float) -> float:
             return h * _gamma_prefactor(a, x)
 
 
-def _require(name: str, bits) -> np.ndarray:
-    """The bits as a 1-D array, checked against the floor of test ``name``."""
-    b = _as_bits(bits)
-    if b.size < _MIN_BITS[name]:
-        raise ValueError(f"{name} needs at least {_MIN_BITS[name]} bits, got {b.size}")
-    return b
+def _require(name: str, bits) -> tuple[np.ndarray, int]:
+    """The packed bytes and the bit count of a BitStream or a 0/1 array,
+    checked against the floor of test ``name``."""
+    stream = _as_stream(bits)
+    n = len(stream)
+    if n < _MIN_BITS[name]:
+        raise ValueError(f"{name} needs at least {_MIN_BITS[name]} bits, got {n}")
+    return stream.packed, n
 
 
 def monobit(bits) -> tuple[float, float]:
     """Frequency test: |sum of +/-1 bits| / sqrt(n) against erfc."""
-    b = _require("monobit", bits)
-    s_obs = abs(2 * int(np.count_nonzero(b)) - b.size) / math.sqrt(b.size)
+    packed, n = _require("monobit", bits)
+    # the pad bits are zero, so the bytes' popcounts count the ones
+    s_obs = abs(2 * int(np.bitwise_count(packed).sum()) - n) / math.sqrt(n)
     return s_obs, math.erfc(s_obs / math.sqrt(2.0))
 
 
 def block_frequency(bits, block_size: int = 128) -> tuple[float, float]:
-    """Ones-proportion chi-square over disjoint blocks of block_size bits."""
-    b = _require("block_frequency", bits)
-    if block_size < 1 or block_size > b.size:
-        raise ValueError(f"block_size must lie in [1, {b.size}], got {block_size}")
-    nblocks = b.size // block_size
-    pis = b[:nblocks * block_size].reshape(nblocks, block_size).mean(axis=1)
+    """Ones-proportion chi-square over disjoint blocks of block_size bits,
+    unpacked one slice of whole blocks at a time."""
+    packed, n = _require("block_frequency", bits)
+    if block_size < 1 or block_size > n:
+        raise ValueError(f"block_size must lie in [1, {n}], got {block_size}")
+    nblocks = n // block_size
+    step = max(1, _SLICE // block_size) * block_size  # whole blocks per slice
+    ones = np.concatenate([
+        _bits_at(packed, start, min(step, nblocks * block_size - start))
+        .reshape(-1, block_size).sum(axis=1)
+        for start in range(0, nblocks * block_size, step)])
+    # each block's ones over block_size is its mean, to the bit
+    pis = ones / block_size
     chi2 = 4.0 * block_size * float(np.sum((pis - 0.5) ** 2))
     return chi2, _gamma_q(nblocks / 2.0, chi2 / 2.0)
 
@@ -199,14 +209,14 @@ def runs(bits) -> tuple[float, float]:
     Returns p = 0 without the runs count when the ones proportion already
     fails the monobit precondition |pi - 1/2| < 2/sqrt(n).
     """
-    b = _require("runs", bits)
-    n = b.size
-    pi = int(np.count_nonzero(b)) / n
+    packed, n = _require("runs", bits)
+    pi = int(np.bitwise_count(packed).sum()) / n
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
         return float("nan"), 0.0
     # one more run at each change; each window also holds the next slice's first bit
     v = 1 + sum(int(np.count_nonzero(w[1:] != w[:-1]))
-                for w in (b[i:i + _SLICE + 1] for i in range(0, n - 1, _SLICE)))
+                for w in (_bits_at(packed, i, min(_SLICE + 1, n - i))
+                          for i in range(0, n - 1, _SLICE)))
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
     return float(v), math.erfc(num / (2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)))
 
@@ -225,16 +235,14 @@ def longest_run(bits) -> tuple[float, float]:
     The block size follows the SP 800-22 tiers: 8 for short streams, 128
     from 6272 bits, and 10^4 from 750000 bits.
     """
-    b = _require("longest_run", bits)
-    n = b.size
+    packed, n = _require("longest_run", bits)
     block = 8 if n < 6272 else (128 if n < 750000 else 10000)
     dof, (lo, hi), probs = _LONGEST_RUN_TABLES[block]
     nblocks = n // block
-    whole = b[:nblocks * block]
     counts = np.zeros(len(probs), dtype=np.intp)
-    step = max(1, _SLICE // block) * block  # whole blocks per slice
-    for start in range(0, whole.size, step):
-        longest = _longest_runs(whole[start:start + step], block)
+    step = max(1, _SLICE // block) * block  # whole blocks per slice, unpacked one slice at a time
+    for start in range(0, nblocks * block, step):
+        longest = _longest_runs(_bits_at(packed, start, min(step, nblocks * block - start)), block)
         counts += np.bincount(np.clip(longest, lo, hi) - lo, minlength=len(probs))
     expected = nblocks * np.asarray(probs)
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
@@ -314,14 +322,13 @@ _BYTE_NET, _BYTE_TOP, _BYTE_BOTTOM = _byte_walks()
 def _cusum(bits, reverse: bool) -> tuple[float, float]:
     """z and p of the cusum test in one direction.
 
-    Walks the bits a packed byte at a time, one slice of _SLICE // 8 bytes
-    per pass: ``np.take`` reads each byte's net step and its highest and
-    lowest partial sums from the byte tables, one cumsum gives S at each
-    byte's end, and S carries from slice to slice as a Python int.  The 0-7
-    tail bits are walked in Python.
+    Walks the packed bytes one slice of _SLICE // 8 bytes per pass:
+    ``np.take`` reads each byte's net step and its highest and lowest
+    partial sums from the byte tables, one cumsum gives S at each byte's
+    end, and S carries from slice to slice as a Python int.  The 0-7 tail
+    bits are walked in Python.
     """
-    b = _require("cusum_reverse" if reverse else "cusum_forward", bits)
-    n = b.size
+    packed, n = _require("cusum_reverse" if reverse else "cusum_forward", bits)
     # forward: z = max |S_k| over the +/-1 walk S_k, k = 0..n, S_0 = 0; reverse:
     # the partial sums of the reversed bits are S_n - S_j for j = 0..n-1, so
     # nothing is reversed, but S_n stays out of the extremes: the last bit is
@@ -329,13 +336,13 @@ def _cusum(bits, reverse: bool) -> tuple[float, float]:
     head = (n - reverse) // 8 * 8  # the bits walked a byte at a time
     s = top = bottom = 0
     for start in range(0, head, _SLICE):
-        packed = np.packbits(b[start:min(start + _SLICE, head)])
+        walked = packed[start // 8:min(start + _SLICE, head) // 8]
         # S at each byte's end, less the S carried in; within 2^16 bits it fits int32
-        ends = np.cumsum(np.take(_BYTE_NET, packed), dtype=np.int32)
-        top = max(top, s + int((ends + np.take(_BYTE_TOP, packed)).max()))
-        bottom = min(bottom, s + int((ends + np.take(_BYTE_BOTTOM, packed)).min()))
+        ends = np.cumsum(np.take(_BYTE_NET, walked), dtype=np.int32)
+        top = max(top, s + int((ends + np.take(_BYTE_TOP, walked)).max()))
+        bottom = min(bottom, s + int((ends + np.take(_BYTE_BOTTOM, walked)).min()))
         s += int(ends[-1])
-    tail = b[head:].tolist()
+    tail = _bits_at(packed, head, n - head).tolist()
     for bit in tail[:len(tail) - reverse]:
         s += 2 * bit - 1
         top, bottom = max(top, s), min(bottom, s)
@@ -354,11 +361,12 @@ def cusum_reverse(bits) -> tuple[float, float]:
     return _cusum(bits, reverse=True)
 
 
-def _pattern_counts(b: np.ndarray, m: int) -> list[np.ndarray]:
-    """Counts of the n overlapping wrapped k-bit patterns, item k for k = 0..m.
+def _pattern_counts(packed: np.ndarray, n: int, m: int) -> list[np.ndarray]:
+    """Counts of the n overlapping wrapped k-bit patterns of n packed bits,
+    item k for k = 0..m.
 
-    Size m is counted from packed bytes, one slice of _SLICE // 8 bytes per
-    pass (more when the histogram below outnumbers a slice's indices).
+    Size m is counted from the packed bytes, one slice of _SLICE // 8 bytes
+    per pass (more when the histogram below outnumbers a slice's indices).
     Each whole byte gets a window of its 8 bits and the m - 1 bits after
     it; past the last whole byte the window reads the 0-7 tail bits, then
     wraps to the stream's start.  Each window is cut into 8/g indices of
@@ -369,7 +377,6 @@ def _pattern_counts(b: np.ndarray, m: int) -> list[np.ndarray]:
     last n mod 8 window starts are counted one by one.  With wraparound
     each smaller size is the exact marginal of the next (pattern p counts
     patterns 2p and 2p+1)."""
-    n = b.size
     g = next((g for g in (8, 4, 2) if g + m - 1 <= 16), 1)
     width = 8 + m - 1  # a byte's window
     # the narrowest that holds the window; int64, not uint64, for bincount
@@ -380,18 +387,19 @@ def _pattern_counts(b: np.ndarray, m: int) -> list[np.ndarray]:
     # an index's offset from the window's low end, one row per index
     shifts = np.arange(8 - g, -1, -g, dtype=dtype)[:, None]
     # the bits after the last whole byte: the tail, then the stream's start
-    after = np.concatenate([b[8 * whole:], b[:m - 1]])
+    after = np.concatenate([_bits_at(packed, 8 * whole, n - 8 * whole),
+                            _bits_at(packed, 0, m - 1)])
     step = max(_SLICE // 8, bins * g // 8)  # bytes per slice: no fewer indices than bins
     hist = np.zeros(bins, dtype=np.intp)
     for start in range(0, whole, step):
         size = min(step, whole - start)
-        packed = np.packbits(b[8 * start:8 * min(start + size + extra, whole)])
-        if packed.size < size + extra:
-            packed = np.concatenate([packed, np.packbits(after)[:size + extra - packed.size]])
-        windows = packed[:size].astype(dtype)
+        read = packed[start:min(start + size + extra, whole)]
+        if read.size < size + extra:
+            read = np.concatenate([read, np.packbits(after)[:size + extra - read.size]])
+        windows = read[:size].astype(dtype)
         for j in range(1, extra + 1):
             windows <<= 8
-            windows |= packed[j:j + size]
+            windows |= read[j:j + size]
         windows >>= 8 * extra - (m - 1)
         hist += np.bincount(((windows >> shifts) & dtype(bins - 1)).ravel(), minlength=bins)
     # index bits j .. j + m - 1, from the high end, hold the pattern of the j-th start
@@ -422,11 +430,10 @@ def approximate_entropy(bits, m: int = 2) -> tuple[float, float]:
     m < floor(log2 n) - 5; that is not enforced, as its own worked example
     (n = 10, m = 3) breaks it.
     """
-    b = _require("approximate_entropy", bits)
-    n = b.size
+    packed, n = _require("approximate_entropy", bits)
     _check_pattern_size(m, n)
     phi = []
-    for counts in _pattern_counts(b, m + 1)[m:]:
+    for counts in _pattern_counts(packed, n, m + 1)[m:]:
         c = counts[counts > 0] / n
         phi.append(float(np.sum(c * np.log(c))))
     apen = phi[0] - phi[1]
@@ -449,9 +456,9 @@ def serial(bits, m: int = 2) -> tuple[tuple[float, float], tuple[float, float]]:
     2^m <= n.  SP 800-22 advises m < floor(log2 n) - 2; that is not
     enforced, as its own worked example (n = 10, m = 3) breaks it.
     """
-    b = _require("serial", bits)
-    _check_pattern_size(m, b.size)
-    counts = _pattern_counts(b, m)
+    packed, n = _require("serial", bits)
+    _check_pattern_size(m, n)
+    counts = _pattern_counts(packed, n, m)
     # psi^2 is 0 by definition below size 1 (not (1/n) n^2 - n, which may round away from 0)
     psi_m, psi_m1, psi_m2 = (_psi_squared(counts[k]) if k >= 1 else 0.0
                              for k in (m, m - 1, m - 2))
@@ -491,17 +498,18 @@ class _FourStep:
             for step, count in ((1, rows), (_ROWS, -(-self.n1 // _ROWS))))
 
 
-def _spectral_count(b: np.ndarray, plan: _FourStep) -> int:
-    """How many of the moduli |X_k|, k < n // 2, of the DFT of the n +/-1
-    values of b lie below the spectral test's threshold T = sqrt(n ln 20).
+def _spectral_count(packed: np.ndarray, n: int, plan: _FourStep) -> int:
+    """How many of the moduli |X_k|, k < n // 2, of the DFT of the +/-1
+    values of n packed bits lie below the spectral test's threshold
+    T = sqrt(n ln 20).
 
     A four-step transform (Bailey, J. Supercomputing 4, 1990) in plan's
     buffers, with j = i1 + n1 i2 and k = k2 + n2 k1:
     X_k = sum_i1 W_n1^(i1 k1) W_n^(i1 k2) sum_i2 W_n2^(i2 k2) x_j.
     The first pass takes rows i1 of the layout, _ROWS at a time: it
-    gathers them from the bits into float64, has ``rfft`` of length n2
-    write row by row into the spectrum buffer (k2 <= n2/2 only, the input
-    being real), and multiplies by the twiddles
+    unpacks their bits into float64, has ``rfft`` of length n2 write row
+    by row into the spectrum buffer (k2 <= n2/2 only, the input being
+    real), and multiplies by the twiddles
     W_n^(i1 k2) = near[c, k2] far[a, k2], i1 = _ROWS a + c, one table at a
     time.  The second pass is
     one in-place ``fft`` of length n1 down axis 0.  Each pass's
@@ -523,12 +531,23 @@ def _spectral_count(b: np.ndarray, plan: _FourStep) -> int:
     and none within 1e-11 of T (the nearest lies 1.2e-4 away).
     """
     n1, n2, spectrum, values, below = plan.n1, plan.n2, plan.spectrum, plan.values, plan.below
-    n = n1 * n2
-    layout = b.reshape(n2, n1)  # x_j at [i2, i1]
+    # x_j at [i2, i1] in bits, each row of n1 bits in its own whole bytes: the
+    # packed bytes themselves when n1 is a multiple of 8, or else repacked,
+    # a slice of rows at a time
+    if n1 % 8 == 0:
+        layout = packed[:n // 8].reshape(n2, n1 // 8)
+    else:
+        step = -(-_SLICE // n1)  # rows per slice
+        layout = np.concatenate([
+            np.packbits(_bits_at(packed, n1 * i, n1 * min(step, n2 - i)).reshape(-1, n1), axis=1)
+            for i in range(0, n2, step)])
     for a, r in enumerate(range(0, n1, _ROWS)):
         rows = spectrum[r:r + _ROWS]
-        x = values[:rows.shape[0]]
-        np.multiply(layout[:, r:r + _ROWS].T, 2.0, out=x)
+        k = rows.shape[0]
+        x = values[:k]
+        # a pass's rows start at a multiple of _ROWS, and so of 8: they are whole bytes
+        np.multiply(np.unpackbits(layout[:, r // 8:(r + k + 7) // 8], axis=1, count=k).T, 2.0,
+                    out=x)
         x -= 1.0
         np.fft.rfft(x, axis=1, out=rows)
         rows *= plan.near[:rows.shape[0]]
@@ -554,10 +573,9 @@ def dft(bits, *, count: int | None = None) -> tuple[float, float]:
     and is only checked to be an integer in [0, n // 2]; without it the
     call counts its own.
     """
-    b = _require("dft", bits)
-    n = b.size
+    packed, n = _require("dft", bits)
     if count is None:
-        count = _spectral_count(b, _FourStep(n))
+        count = _spectral_count(packed, n, _FourStep(n))
     elif isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise ValueError(f"count must be an integer, got {count}")
     elif not 0 <= count <= n // 2:
@@ -571,19 +589,20 @@ def stream_outcomes(bits) -> list[TestOutcome]:
     """All subset tests on one stream, serial's second p-value as its own row.
 
     Runs the battery's loop on the one stream, so the rows are the ones
-    :func:`nist_battery` counts.
+    :func:`nist_battery` counts.  A 0/1 array is checked and packed once.
     """
-    b = _as_bits(bits)
-    return _subset_rows([b], b.size)[0]
+    stream = _as_stream(bits)
+    return _subset_rows([stream], len(stream))[0]
 
 
-def _subset_rows(streams, n: int) -> list[list[TestOutcome]]:
-    """The rows of :func:`stream_outcomes` for each of the n-bit streams.
+def _subset_rows(streams: Sequence[BitStream], n: int) -> list[list[TestOutcome]]:
+    """The rows of :func:`stream_outcomes` for each of the n-bit BitStreams.
 
     One worker thread transforms and counts each stream's spectrum in one
     set of four-step buffers while the calling thread runs the other
     eight tests; dft then takes the count.  Every
-    result is the one the tests give called one by one.  Only the
+    result is the one the tests give called one by one.  Each test gets
+    the BitStream itself and reads its packed bytes unchecked.  Only the
     untraced count runs on the worker: the tests are looked up on the
     module when called, so a wrapper set there (as the benchmark's tracer,
     which keeps one span stack) sees every call.  One thread and one set
@@ -600,11 +619,10 @@ def _subset_rows(streams, n: int) -> list[list[TestOutcome]]:
     rows = []
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="rctm-spectral") as worker:
         for s in streams:
-            b = _as_bits(s)
-            pending = worker.submit(_spectral_count, b, plan)
-            results = [globals()[name](b) for name in TEST_NAMES[:-1]]
+            pending = worker.submit(_spectral_count, s.packed, n, plan)
+            results = [globals()[name](s) for name in TEST_NAMES[:-1]]
             # a count that failed raises here
-            results.append(globals()["dft"](b, count=pending.result()))
+            results.append(globals()["dft"](s, count=pending.result()))
             results[7:8] = results[7]  # serial's two results are the serial and serial_2 rows
             rows.append([TestOutcome(entry, stat, p, p >= ALPHA)
                          for entry, (stat, p) in zip(ENTRY_NAMES, results)])
@@ -635,11 +653,13 @@ def nist_battery(streams: Sequence[BitStream | np.ndarray]) -> TestReport:
         proportion reaches the minimum-proportion bound for the stream
         count.
     """
-    lengths = sorted({int(_as_bits(s).size) for s in streams})
+    # a 0/1 array is checked and packed here, once; a BitStream is used as it is
+    bitstreams = [_as_stream(s) for s in streams]
+    lengths = sorted({len(s) for s in bitstreams})
     if len(lengths) != 1:
         raise ValueError(f"battery needs one or more streams of one length, got lengths {lengths}")
     per_test: dict[str, list[bool]] = {name: [] for name in ENTRY_NAMES}
-    for rows in _subset_rows(streams, lengths[0]):
+    for rows in _subset_rows(bitstreams, lengths[0]):
         for row in rows:
             per_test[row.test].append(row.passed)
     m = len(streams)

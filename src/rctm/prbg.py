@@ -7,7 +7,7 @@ MSB-first within each byte so exported streams are stable across tools.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -20,26 +20,44 @@ DEGENERATE_TAIL = 100
 
 @dataclass(frozen=True, eq=False)
 class BitStream:
-    """Thresholded binary sequence tagged with its generating key."""
+    """Thresholded binary sequence tagged with its generating key.
 
-    bits: np.ndarray
-    key_fingerprint: str
-    degenerate: bool = False  # the generating run's flag, see orbit_stream
+    The bits are held packed MSB-first in ``packed``: read-only uint8 bytes
+    holding ``n_bits`` bits, then zero pad bits.  ``bits`` unpacks a fresh
+    0/1 copy on each access.  A 0/1 array given as ``bits=`` (to the
+    constructor or to ``dataclasses.replace``) is checked and packed in
+    place of ``packed`` and ``n_bits``.
+    """
 
-    def __post_init__(self):
-        self.bits.flags.writeable = False
+    packed: np.ndarray | None = None
+    n_bits: int = 0
+    key_fingerprint: str = ""
+    degenerate: bool = False  # the generating run's flag, see stream_chunks
+    bits: InitVar[np.ndarray | None] = None
+
+    def __post_init__(self, bits):
+        if bits is not None:
+            arr = np.asarray(bits)
+            _check_bit_array(arr)
+            object.__setattr__(self, "packed", np.packbits(arr))
+            object.__setattr__(self, "n_bits", arr.size)
+        self.packed.flags.writeable = False
 
     def __len__(self) -> int:
-        return self.bits.size
+        return self.n_bits
 
 
-def _as_bits(bits: BitStream | np.ndarray) -> np.ndarray:
-    """The bits of a BitStream or a 0/1 array of bool or integer dtype, as a 1-D uint8 array.
+# set once the dataclass is made, whose bits= argument has the same name
+BitStream.bits = property(lambda self: np.unpackbits(self.packed, count=self.n_bits),
+                          doc="A fresh 0/1 uint8 copy of the bits.")
+
+
+def _check_bit_array(arr: np.ndarray) -> None:
+    """Refuse anything but a 1-D array of 0s and 1s of bool or integer dtype.
 
     The values are checked before any cast, so no float is truncated and no
     wider integer wraps into 0..1.
     """
-    arr = bits.bits if isinstance(bits, BitStream) else np.asarray(bits)
     if arr.dtype.kind not in "biu":
         raise ValueError(f"bit input must be of bool or integer dtype, got {arr.dtype}")
     if arr.ndim != 1:
@@ -49,7 +67,17 @@ def _as_bits(bits: BitStream | np.ndarray) -> np.ndarray:
         low, high = arr.min() if arr.dtype.kind == "i" else 0, arr.max()
         if low < 0 or high > 1:
             raise ValueError(f"bit input must hold only 0 and 1, got {int(low if low < 0 else high)}")
-    return arr.astype(np.uint8, copy=False)
+
+
+def _as_stream(bits: BitStream | np.ndarray) -> BitStream:
+    """A BitStream as it is (valid by construction), or one made from a 0/1 array."""
+    return bits if isinstance(bits, BitStream) else BitStream(bits=bits)
+
+
+def _bits_at(packed: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Bits start .. start + count - 1 of packed MSB-first bytes, unpacked as 0/1 uint8."""
+    head = start % 8
+    return np.unpackbits(packed[start // 8:(start + count + 7) // 8], count=head + count)[head:]
 
 
 def threshold_values(values: np.ndarray) -> np.ndarray:
@@ -92,10 +120,45 @@ def orbit_stream(key: MapKey, n: int, burn_in: int,
     return out, degenerate
 
 
+def _packed_segments(key: MapKey, segments: int, n: int,
+                     burn_in: int) -> tuple[list[np.ndarray], bool]:
+    """The orbit's bits as ``segments`` consecutive n-bit pieces, each packed
+    MSB-first into its own bytes, plus the run's degenerate flag.
+
+    Each chunk of :func:`stream_chunks` is packed as it is thresholded, so
+    no 0/1 array longer than a chunk is built.  The 1-7 bits left at a
+    piece's end that do not fill a byte are carried into the next piece of
+    the same segment; a segment's last byte is zero padded.
+    """
+    # here, not at the first chunk: with n = 0 no chunk would be drawn
+    _check_counts(segments * n, burn_in)
+    chunks = stream_chunks(key, segments * n, burn_in, threshold_values)
+    chunk, out = np.empty(0, dtype=np.uint8), []
+    for _ in range(segments):
+        packed = np.empty((n + 7) // 8, dtype=np.uint8)
+        carry, pos, left = chunk[:0], 0, n
+        while left:
+            if not chunk.size:
+                chunk, degenerate = next(chunks)
+            piece, chunk = chunk[:left], chunk[left:]
+            left -= piece.size
+            if carry.size:
+                piece = np.concatenate([carry, piece])
+            whole = piece.size // 8
+            packed[pos:pos + whole] = np.packbits(piece[:8 * whole])
+            pos += whole
+            carry = piece[8 * whole:]
+        if carry.size:
+            packed[pos:] = np.packbits(carry)
+        out.append(packed)
+    return out, degenerate
+
+
 def generate_bits(key: MapKey, n: int, burn_in: int = 0) -> BitStream:
     """Generate n bits from the orbit of ``key``; deterministic per key."""
-    bits, degenerate = orbit_stream(key, n, burn_in, threshold_values)
-    return BitStream(bits=bits, key_fingerprint=key.fingerprint(), degenerate=degenerate)
+    (packed,), degenerate = _packed_segments(key, 1, n, burn_in)
+    return BitStream(packed=packed, n_bits=n, key_fingerprint=key.fingerprint(),
+                     degenerate=degenerate)
 
 
 def segmented_streams(key: MapKey, streams: int, bits_per_stream: int,
@@ -103,20 +166,18 @@ def segmented_streams(key: MapKey, streams: int, bits_per_stream: int,
     """Split one long orbit into disjoint consecutive bit segments.
 
     Segment i covers orbit positions [i*bits_per_stream, (i+1)*bits_per_stream)
-    after burn_in; fingerprints carry the segment index, and every segment
-    carries the whole run's degenerate flag.
+    after burn_in and holds its own packed bytes; fingerprints carry the
+    segment index, and every segment carries the whole run's degenerate flag.
     """
     if streams < 1:
         raise ValueError(f"streams must be >= 1, got {streams}")
     if bits_per_stream < 1:
         raise ValueError(f"bits_per_stream must be >= 1, got {bits_per_stream}")
-    whole = generate_bits(key, streams * bits_per_stream, burn_in)
+    segments, degenerate = _packed_segments(key, streams, bits_per_stream, burn_in)
     fp = key.fingerprint()
-    return [
-        BitStream(bits=whole.bits[i * bits_per_stream:(i + 1) * bits_per_stream],
-                  key_fingerprint=f"{fp}:{i}", degenerate=whole.degenerate)
-        for i in range(streams)
-    ]
+    return [BitStream(packed=packed, n_bits=bits_per_stream, key_fingerprint=f"{fp}:{i}",
+                      degenerate=degenerate)
+            for i, packed in enumerate(segments)]
 
 
 def pack_bytes(bits: BitStream | np.ndarray) -> tuple[bytes, int]:
@@ -126,9 +187,8 @@ def pack_bytes(bits: BitStream | np.ndarray) -> tuple[bytes, int]:
     (payload, pad_bits) where pad_bits zero bits were appended to fill the
     final byte; lengths divisible by 8 pad nothing.
     """
-    arr = _as_bits(bits)
-    pad = (-arr.size) % 8
-    return np.packbits(arr).tobytes(), pad
+    stream = _as_stream(bits)
+    return stream.packed.tobytes(), (-len(stream)) % 8
 
 
 def unpack_bits(data: bytes, n_bits: int | None = None) -> np.ndarray:

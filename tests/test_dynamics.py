@@ -44,6 +44,16 @@ class TestGridKeys:
         with pytest.raises(InvalidKeyError, match=r"^x0 must lie in \(0, 1\), got 1\.0$"):
             sample([3.0, 150.0, math.nan])
 
+    @pytest.mark.parametrize("grid", [[math.nan], []], ids=["nan", "empty"])
+    @pytest.mark.parametrize("sample", [
+        lambda grid: grid_keys(grid, 0.23),
+        lambda grid: bifurcation_sample(grid, 0.23),
+        lambda grid: lyapunov_grid(grid, 0.23, n=100),
+    ], ids=["grid_keys", "bifurcation_sample", "lyapunov_grid"])
+    def test_grid_with_no_supported_value_refused_alike(self, sample, grid):
+        with pytest.raises(ValueError, match="^no supported mu values in grid$"):
+            sample(grid)
+
 
 class TestBifurcation:
     def test_keep_one_settle_zero_returns_seed(self):
@@ -93,11 +103,9 @@ class TestBifurcation:
         assert np.array_equal(result.x.reshape(-1, 7), iterate_batch(keys, 7, burn_in=30))
         assert np.array_equal(result.mu, np.repeat([1.2, 2.75, 61.81, 8.4], 7))
 
-    def test_grid_with_every_value_skipped_gives_empty_arrays(self):
-        result = bifurcation_sample([3.0, -1.0, 150.0], 0.23, settle=5, keep=5)
-        assert result.skipped_mu == [3.0, -1.0, 150.0]
-        assert result.mu.shape == result.x.shape == (0,)
-        assert result.mu.dtype == result.x.dtype == np.float64
+    def test_grid_with_every_value_skipped_is_refused(self):
+        with pytest.raises(ValueError, match="^no supported mu values in grid$"):
+            bifurcation_sample([3.0, -1.0, 150.0], 0.23, settle=5, keep=5)
 
 
 class TestLyapunov:

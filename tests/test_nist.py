@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc, gammaincc, ndtr
 
-from rctm import nist
+from rctm import nist, prbg
 from rctm.core import make_key
 from rctm.nist import (
     ENTRY_NAMES,
@@ -90,6 +90,15 @@ class TestBlockFrequency:
         chi2 = 4 * 128 * sum((c - 0.5) ** 2 for c in chunks)
         assert stat == pytest.approx(chi2, rel=1e-12)
         assert p == pytest.approx(float(gammaincc(5.0, chi2 / 2)), rel=1e-12)
+
+    # blocks of whole bytes and not (3, 100, 9999), over several slices at this length
+    @pytest.mark.parametrize("block_size", [3, 8, 100, 128, 9999])
+    def test_equals_the_block_mean_to_the_bit(self, block_size):
+        bits = stream(2**17 + 3, 0.5)
+        nblocks = bits.size // block_size
+        pis = bits[:nblocks * block_size].reshape(nblocks, block_size).mean(axis=1)
+        chi2 = 4.0 * block_size * float(np.sum((pis - 0.5) ** 2))
+        assert block_frequency(bits, block_size) == (chi2, nist._gamma_q(nblocks / 2.0, chi2 / 2.0))
 
 
 class TestRuns:
@@ -269,7 +278,7 @@ PATTERN_CASES = [(8, 3000), (9, 3000), (16, 3000), (17, 3000),
 def test_pattern_counts_match_a_window_count(m, n):
     bits = np.random.default_rng(m).integers(0, 2, size=n, dtype=np.uint8)
     wrapped = bits.tolist() + bits[:m - 1].tolist()
-    counts = nist._pattern_counts(bits, m)
+    counts = nist._pattern_counts(np.packbits(bits), n, m)
     assert len(counts) == m + 1
     for k in range(m + 1):
         seen = Counter(tuple(wrapped[i:i + k]) for i in range(bits.size))
@@ -391,7 +400,7 @@ class TestDft:
         second = (rng.random(first.size) < 0.48).astype(np.uint8)
         plan = nist._FourStep(first.size)
         for b in (first, second):
-            assert dft(b, count=nist._spectral_count(b, plan)) == dft(b)
+            assert dft(b, count=nist._spectral_count(np.packbits(b), b.size, plan)) == dft(b)
         assert dft(first) != dft(second)
 
     @pytest.mark.parametrize("count", [-1, 501, -500, 10**6])
@@ -443,7 +452,7 @@ class TestSpectralCount:
         pcg = np.random.default_rng(n).integers(0, 2, size=n, dtype=np.uint8)
         rctm = generate_bits(make_key(61.81, 0.23), n, burn_in=1000).bits
         for b in (pcg, rctm):
-            assert nist._spectral_count(b, plan) == rfft_count(b)
+            assert nist._spectral_count(np.packbits(b), n, plan) == rfft_count(b)
 
     def test_moduli_agree_with_rfft_on_the_criterion_1_streams(self):
         # the exactness argument of _spectral_count: every modulus lies
@@ -456,7 +465,7 @@ class TestSpectralCount:
         k = np.arange(plan.n2 // 2 + 1) + plan.n2 * np.arange(plan.n1)[:, None]
         k = np.minimum(k, n - k)
         for s in segmented_streams(make_key(61.81, 0.23), 20, n, burn_in=1000):
-            count = nist._spectral_count(s.bits, plan)
+            count = nist._spectral_count(s.packed, n, plan)
             moduli = np.abs(np.fft.rfft(2.0 * s.bits - 1.0))
             assert np.max(np.abs(np.abs(plan.spectrum) - moduli[k])) < MODULUS_BOUND
             assert np.min(np.abs(moduli - threshold)) > MODULUS_BOUND
@@ -725,6 +734,51 @@ class TestBattery:
         run = (lambda b: nist_battery([b, b])) if name == "nist_battery" else getattr(nist, name)
         with pytest.raises(ValueError, match="^bit input must hold only 0 and 1, got 2$"):
             run(bits)
+
+    # each refused as the one check of the stream finds it, before any test runs
+    @pytest.mark.parametrize("bits, message", [
+        (np.array([0.0, 1.0] * 100), "must be of bool or integer dtype, got float64"),
+        (np.zeros((2, 200), dtype=np.uint8), "must be one-dimensional"),
+        (np.array([0, 1, 2] * 100, dtype=np.uint8), "must hold only 0 and 1, got 2"),
+    ])
+    @pytest.mark.parametrize("run", [
+        stream_outcomes, lambda b: nist_battery([stream(200, 0.5), b]),
+    ], ids=["stream_outcomes", "nist_battery"])
+    def test_bad_input_refused_by_its_one_check(self, monkeypatch, run, bits, message):
+        calls = []
+        monkeypatch.setattr(nist, "monobit", lambda b: calls.append(b))
+        with pytest.raises(ValueError, match=f"^bit input {message}$"):
+            run(bits)
+        assert calls == []
+
+    def test_each_array_is_checked_once_and_a_bitstream_never(self, monkeypatch):
+        checked = []
+        check = prbg._check_bit_array
+
+        def counted(arr):
+            checked.append(arr.size)
+            check(arr)
+
+        monkeypatch.setattr(prbg, "_check_bit_array", counted)
+        arrays = [stream(3000, 0.5), stream(3000, 0.49), stream(3000, "alternating")]
+        nist_battery(arrays)
+        assert checked == [3000] * 3
+        checked.clear()
+        stream_outcomes(arrays[0])
+        assert checked == [3000]
+        checked.clear()
+        nist_battery(segmented_streams(make_key(61.81, 0.23), 3, 3000))
+        stream_outcomes(generate_bits(make_key(61.81, 0.23), 3000))
+        assert checked == []
+
+    # a BitStream's packed bytes and its bits as a 0/1 array give the same
+    # rows, at lengths on both sides of a slice (2^16 +/- 1, the latter
+    # prime) and one whose four-step rows are not whole bytes (10^6 + 7)
+    @pytest.mark.parametrize("n", [128, 2**16 - 1, 2**16 + 1, 10**6 + 7])
+    def test_bitstream_rows_equal_its_array_rows(self, n):
+        s = generate_bits(make_key(61.81, 0.23), n, burn_in=1000)
+        assert [repr(row) for row in stream_outcomes(s)] == \
+            [repr(row) for row in stream_outcomes(s.bits)]
 
     def test_empty_battery_rejected(self):
         with pytest.raises(ValueError):

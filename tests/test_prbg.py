@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +61,34 @@ class TestSegmentedStreams:
         assert len(segs) == 3
         joined = np.concatenate([s.bits for s in segs])
         assert np.array_equal(joined, whole.bits)
+
+    # segments that start and end inside a byte (7, 100, 1001 bits), from
+    # the default chunks and from 37-sample ones, whose ends fall inside bytes too
+    @pytest.mark.parametrize("chunk", [None, 37])
+    @pytest.mark.parametrize("bits_per_stream", [7, 100, 1001])
+    def test_segments_are_slices_of_generate_bits(self, monkeypatch, chunk, bits_per_stream):
+        key, streams = make_key(61.81, 0.23), 5
+        if chunk:
+            monkeypatch.setattr(core, "_CHUNK", chunk)
+        whole = generate_bits(key, streams * bits_per_stream, 13).bits
+        segs = segmented_streams(key, streams, bits_per_stream, burn_in=13)
+        for i, seg in enumerate(segs):
+            assert len(seg) == bits_per_stream
+            assert np.array_equal(seg.bits, whole[i * bits_per_stream:(i + 1) * bits_per_stream])
+            # each segment owns its bytes, with a zero pad
+            assert np.array_equal(seg.packed, np.packbits(seg.bits))
+
+    def test_segments_hold_an_eighth_of_their_bits(self):
+        # 20 x 10^6 bits are 2.5 MB packed; at one byte per bit they held 20 MB
+        tracemalloc.start()
+        try:
+            streams = segmented_streams(make_key(61.81, 0.23), 20, 10**6)
+            gc.collect()  # the orbit kernel's ctypes calls leave cycles for the collector
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(streams) == 20
+        assert held < 2.6e6, held
 
     def test_fingerprints_carry_segment_index(self):
         segs = segmented_streams(make_key(61.81, 0.23), 2, 100)
@@ -120,6 +152,41 @@ class TestPackBytes:
         stream = generate_bits(make_key(61.81, 0.23), 64)
         data, _ = pack_bytes(stream)
         assert np.array_equal(unpack_bits(data), stream.bits)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 1001])
+    def test_bitstream_gives_its_stored_bytes(self, monkeypatch, n):
+        stream = generate_bits(make_key(61.81, 0.23), n)
+        expected = (np.packbits(stream.bits).tobytes(), (-n) % 8)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a BitStream is neither unpacked nor repacked")
+
+        monkeypatch.setattr(np, "packbits", refused)
+        monkeypatch.setattr(np, "unpackbits", refused)
+        assert pack_bytes(stream) == expected
+        assert pack_bytes(stream)[0] == stream.packed.tobytes()
+
+    def test_bitstream_bytes_are_read_only_and_bits_a_copy(self):
+        stream = generate_bits(make_key(61.81, 0.23), 1001)
+        assert not stream.packed.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stream.packed[0] = 0
+        before = stream.bits
+        copy = stream.bits
+        copy[:] = 1 - copy
+        assert np.array_equal(stream.bits, before)
+        assert not np.array_equal(copy, before)
+
+    def test_bits_given_to_replace_are_checked_and_packed(self):
+        stream = generate_bits(make_key(61.81, 0.5), 200)
+        flipped = 1 - stream.bits
+        changed = dataclasses.replace(stream, bits=flipped)
+        assert np.array_equal(changed.bits, flipped)
+        assert (len(changed), changed.key_fingerprint, changed.degenerate) == \
+            (200, stream.key_fingerprint, stream.degenerate)
+        assert not changed.packed.flags.writeable
+        with pytest.raises(ValueError, match="^bit input must hold only 0 and 1, got 2$"):
+            dataclasses.replace(stream, bits=2 * flipped)
 
     def test_rejects_values_other_than_0_and_1(self):
         # [0, 2, 1, 3] would pack to the byte of [0, 1, 1, 1]
