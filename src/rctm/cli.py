@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import inspect
+import itertools
 import json
 import math
 import sys
@@ -22,8 +23,8 @@ import numpy as np
 from . import analysis, core, dynamics, nist
 from .core import MapKey, make_key
 from .ent import ent_battery
-from .prbg import (DEGENERATE_TAIL, orbit_stream, quantize_values, segmented_streams,
-                   stream_chunks, threshold_values)
+from .prbg import (DEGENERATE_TAIL, orbit_stream, packed_chunks, quantize_values,
+                   segmented_streams)
 
 # ENT gate values, calibrated for the standard 10^6-byte battery run
 ENT_THRESHOLDS = {
@@ -150,32 +151,22 @@ def _health(degenerate: bool) -> dict:
     return {"degenerate_tail": degenerate}
 
 
-def _write_bits(paths: list[str], bits_per_file: int, chunks, fmt: str) -> bool:
-    """Write the bit chunks of ``stream_chunks`` as they arrive, ``bits_per_file``
-    bits to each path in turn; returns the stream's degenerate flag.
-
-    raw packs MSB-first and carries the fewer than 8 bits left over at a chunk's
-    end into the next, so each file holds ``pack_bytes`` of its bits;
-    ascii-bits writes '0'/'1' characters and a trailing newline.
-    """
-    chunk, degenerate = next(chunks)  # checks the counts before any file is opened
+def _write_bits(paths: list[str], bits_per_file: int, pieces, fmt: str) -> bool:
+    """Write the pieces of ``packed_chunks`` as they arrive, one segment to
+    each path in turn, and return the stream's degenerate flag: raw as they
+    are, so each file holds ``pack_bytes`` of its bits; ascii-bits unpacked to
+    '0'/'1' characters, with a trailing newline."""
+    pieces = itertools.chain([next(pieces)], pieces)  # checks the counts before any file is opened
     for path in paths:
         with open(path, "wb") as fh:
-            carry, left = np.empty(0, dtype=np.uint8), bits_per_file
+            left = bits_per_file
             while left:
-                if not chunk.size:
-                    chunk, degenerate = next(chunks)
-                piece, chunk = chunk[:left], chunk[left:]
-                left -= piece.size
-                if fmt == "ascii-bits":
-                    fh.write(np.add(piece, ord("0"), dtype=np.uint8))
-                    continue
-                if carry.size:
-                    piece = np.concatenate([carry, piece])
-                whole = piece.size - piece.size % 8
-                fh.write(np.packbits(piece[:whole]))
-                carry = piece[whole:]
-            fh.write(b"\n" if fmt == "ascii-bits" else np.packbits(carry))
+                piece, degenerate = next(pieces)
+                bits = min(left, 8 * piece.size)
+                left -= bits
+                fh.write(piece if fmt == "raw" else np.unpackbits(piece, count=bits) + ord("0"))
+            if fmt == "ascii-bits":
+                fh.write(b"\n")
     return degenerate
 
 
@@ -195,8 +186,8 @@ def cmd_generate(args) -> int:
     _check_bits(args.bits, "--bits")
     _check_bits(args.burn_in, "--burn-in", 0)
     key = make_key(args.mu, args.x0)
-    chunks = stream_chunks(key, args.bits, args.burn_in, threshold_values)
-    health = _health(_write_bits([args.output], args.bits, chunks, args.format))
+    pieces = packed_chunks(key, 1, args.bits, args.burn_in)
+    health = _health(_write_bits([args.output], args.bits, pieces, args.format))
     if args.meta:
         meta = {
             "command": "generate",
@@ -219,8 +210,8 @@ def cmd_export(args) -> int:
     key = make_key(args.mu, args.x0)
     ext = "txt" if args.format == "ascii-bits" else "bin"
     paths = [f"{args.output}_{i:03d}.{ext}" for i in range(args.segments)]
-    chunks = stream_chunks(key, args.segments * args.bits, args.burn_in, threshold_values)
-    health = _health(_write_bits(paths, args.bits, chunks, args.format))
+    pieces = packed_chunks(key, args.segments, args.bits, args.burn_in)
+    health = _health(_write_bits(paths, args.bits, pieces, args.format))
     pad = _pad_bits(args.bits, args.format)
     manifest = {
         "command": "export",

@@ -671,8 +671,8 @@ def nist_battery(streams: Sequence[BitStream | np.ndarray]) -> TestReport:
         for name, flags in per_test.items()
     )
     meta = {"streams": m, "bits_per_stream": lengths[0]}
-    fps = {s.key_fingerprint.split(":")[0] for s in streams if isinstance(s, BitStream)}
-    if len(fps) == 1:
-        meta["key_fingerprint"] = fps.pop()
+    keys = {s.key_fingerprint.split(":")[0] for s in bitstreams}
+    if len(keys) == 1 and "" not in keys:  # a 0/1 array's stream has no key
+        meta["key_fingerprint"] = keys.pop()
     return TestReport(battery="nist-subset", stream_meta=meta, entries=lines,
                       passed=all(line.passed for line in lines))

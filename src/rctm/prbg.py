@@ -26,7 +26,8 @@ class BitStream:
     holding ``n_bits`` bits, then zero pad bits.  ``bits`` unpacks a fresh
     0/1 copy on each access.  A 0/1 array given as ``bits=`` (to the
     constructor or to ``dataclasses.replace``) is checked and packed in
-    place of ``packed`` and ``n_bits``.
+    place of ``packed`` and ``n_bits``; bytes that do not hold exactly
+    ``n_bits`` bits with zero pad bits are refused.
     """
 
     packed: np.ndarray | None = None
@@ -41,7 +42,15 @@ class BitStream:
             _check_bit_array(arr)
             object.__setattr__(self, "packed", np.packbits(arr))
             object.__setattr__(self, "n_bits", arr.size)
-        self.packed.flags.writeable = False
+        packed, n = self.packed, self.n_bits
+        if not (isinstance(packed, np.ndarray) and packed.dtype == np.uint8 and packed.ndim == 1):
+            raise ValueError("packed must be a 1-D uint8 array")
+        if not (isinstance(n, (int, np.integer)) and n >= 0 and packed.size == (n + 7) // 8):
+            raise ValueError(f"n_bits must be an integer >= 0 that packs into the {packed.size} "
+                             f"bytes given, got {n!r}")
+        if n % 8 and packed[-1] & (0xFF >> n % 8):
+            raise ValueError("the pad bits after the last bit must be zero")
+        packed.flags.writeable = False
 
     def __len__(self) -> int:
         return self.n_bits
@@ -120,23 +129,18 @@ def orbit_stream(key: MapKey, n: int, burn_in: int,
     return out, degenerate
 
 
-def _packed_segments(key: MapKey, segments: int, n: int,
-                     burn_in: int) -> tuple[list[np.ndarray], bool]:
-    """The orbit's bits as ``segments`` consecutive n-bit pieces, each packed
-    MSB-first into its own bytes, plus the run's degenerate flag.
-
-    Each chunk of :func:`stream_chunks` is packed as it is thresholded, so
-    no 0/1 array longer than a chunk is built.  The 1-7 bits left at a
-    piece's end that do not fill a byte are carried into the next piece of
-    the same segment; a segment's last byte is zero padded.
-    """
-    # here, not at the first chunk: with n = 0 no chunk would be drawn
-    _check_counts(segments * n, burn_in)
+def packed_chunks(key: MapKey, segments: int, n: int, burn_in: int
+                  ) -> Iterator[tuple[np.ndarray, bool | None]]:
+    """The bits of :func:`stream_chunks` as ``segments`` consecutive n-bit
+    segments, packed MSB-first a chunk at a time: (bytes, flag) pairs, the
+    flag None until the last pair.  Each piece is non-empty and in one
+    segment, whose pieces join into its zero-padded (n + 7) // 8 bytes; the
+    1-7 bits at a piece's end that fill no byte carry into the next piece."""
+    _check_counts(segments * n, burn_in)  # at the first draw: with n = 0 no chunk is drawn
     chunks = stream_chunks(key, segments * n, burn_in, threshold_values)
-    chunk, out = np.empty(0, dtype=np.uint8), []
+    chunk = carry = np.empty(0, dtype=np.uint8)  # a segment's last piece leaves no carry
     for _ in range(segments):
-        packed = np.empty((n + 7) // 8, dtype=np.uint8)
-        carry, pos, left = chunk[:0], 0, n
+        left = n
         while left:
             if not chunk.size:
                 chunk, degenerate = next(chunks)
@@ -144,21 +148,28 @@ def _packed_segments(key: MapKey, segments: int, n: int,
             left -= piece.size
             if carry.size:
                 piece = np.concatenate([carry, piece])
-            whole = piece.size // 8
-            packed[pos:pos + whole] = np.packbits(piece[:8 * whole])
-            pos += whole
-            carry = piece[8 * whole:]
-        if carry.size:
-            packed[pos:] = np.packbits(carry)
-        out.append(packed)
-    return out, degenerate
+            whole = piece.size - piece.size % 8 if left else piece.size
+            piece, carry = piece[:whole], piece[whole:]
+            if whole:
+                yield np.packbits(piece), None if chunk.size else degenerate
+
+
+def _bit_streams(key: MapKey, n: int, burn_in: int, fingerprints: list[str]) -> list[BitStream]:
+    """One n-bit segment of :func:`packed_chunks` per fingerprint, each filled
+    in place into its own bytes as its pieces arrive."""
+    out, size, at = [], (n + 7) // 8, 0
+    for piece, degenerate in packed_chunks(key, len(fingerprints), n, burn_in):
+        if not at:
+            out.append(np.empty(size, dtype=np.uint8))
+        out[-1][at:at + piece.size] = piece
+        at = (at + piece.size) % size
+    return [BitStream(packed=packed, n_bits=n, key_fingerprint=fp, degenerate=degenerate)
+            for packed, fp in zip(out, fingerprints)]
 
 
 def generate_bits(key: MapKey, n: int, burn_in: int = 0) -> BitStream:
     """Generate n bits from the orbit of ``key``; deterministic per key."""
-    (packed,), degenerate = _packed_segments(key, 1, n, burn_in)
-    return BitStream(packed=packed, n_bits=n, key_fingerprint=key.fingerprint(),
-                     degenerate=degenerate)
+    return _bit_streams(key, n, burn_in, [key.fingerprint()])[0]
 
 
 def segmented_streams(key: MapKey, streams: int, bits_per_stream: int,
@@ -173,11 +184,8 @@ def segmented_streams(key: MapKey, streams: int, bits_per_stream: int,
         raise ValueError(f"streams must be >= 1, got {streams}")
     if bits_per_stream < 1:
         raise ValueError(f"bits_per_stream must be >= 1, got {bits_per_stream}")
-    segments, degenerate = _packed_segments(key, streams, bits_per_stream, burn_in)
     fp = key.fingerprint()
-    return [BitStream(packed=packed, n_bits=bits_per_stream, key_fingerprint=f"{fp}:{i}",
-                      degenerate=degenerate)
-            for i, packed in enumerate(segments)]
+    return _bit_streams(key, bits_per_stream, burn_in, [f"{fp}:{i}" for i in range(streams)])
 
 
 def pack_bytes(bits: BitStream | np.ndarray) -> tuple[bytes, int]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rctm
-from rctm import analysis, cli, dynamics
+from rctm import analysis, cli, core, dynamics
 from rctm.cli import main
 from rctm.core import make_key
 from rctm.prbg import generate_bits, pack_bytes, segmented_streams, unpack_bits
@@ -122,11 +122,17 @@ class TestStreamedWriters:
     """generate and export write each orbit chunk as it arrives; the files are
     those of packing or printing the library's whole stream."""
 
-    # 13 bits fill no chunk; 2^18 + 3 ends 3 bits into the second chunk
-    @pytest.mark.parametrize("bits", [13, 2**18 + 3])
+    # 13 bits fill no default chunk; 2^18 + 3 ends 3 bits into the second;
+    # the ends of 37-sample chunks fall inside bytes
+    @pytest.mark.parametrize("bits, chunk", [
+        pytest.param(13, None, id="13"), pytest.param(2**18 + 3, None, id="262147"),
+        pytest.param(13, 37, id="13-chunk37"), pytest.param(2**18 + 3, 37, id="262147-chunk37"),
+    ])
     @pytest.mark.parametrize("burn_in", [0, 1000])
-    def test_generate_matches_the_library(self, tmp_path, bits, burn_in):
+    def test_generate_matches_the_library(self, tmp_path, monkeypatch, bits, chunk, burn_in):
         stream = generate_bits(make_key(61.81, 0.23), bits, burn_in)
+        if chunk:  # after the library's stream, which keeps the default chunks
+            monkeypatch.setattr(core, "_CHUNK", chunk)
         raw, txt = tmp_path / "s.bin", tmp_path / "s.txt"
         for fmt, out in (("raw", raw), ("ascii-bits", txt)):
             assert run(["generate", *KEY, "--bits", bits, "--burn-in", burn_in,
@@ -137,12 +143,20 @@ class TestStreamedWriters:
         assert json.loads((tmp_path / "s.txt.meta.json").read_text())["pad_bits"] == 0
 
     # segment boundaries at bits 300001 and 600002: inside a byte, and inside
-    # the second and third orbit chunks
-    @pytest.mark.parametrize("fmt, ext, pad", [("raw", "bin", 7), ("ascii-bits", "txt", 0)])
-    def test_export_segments_cut_mid_byte_and_mid_chunk(self, tmp_path, fmt, ext, pad):
+    # the second and third default orbit chunks; 37-sample chunks end inside bytes too
+    @pytest.mark.parametrize("fmt, ext, pad, chunk", [
+        pytest.param("raw", "bin", 7, None, id="raw-bin-7"),
+        pytest.param("ascii-bits", "txt", 0, None, id="ascii-bits-txt-0"),
+        pytest.param("raw", "bin", 7, 37, id="raw-bin-7-chunk37"),
+        pytest.param("ascii-bits", "txt", 0, 37, id="ascii-bits-txt-0-chunk37"),
+    ])
+    def test_export_segments_cut_mid_byte_and_mid_chunk(self, tmp_path, monkeypatch, fmt, ext,
+                                                         pad, chunk):
+        streams = segmented_streams(make_key(61.81, 0.23), 3, 300001, burn_in=1000)
+        if chunk:  # after the library's streams, which keep the default chunks
+            monkeypatch.setattr(core, "_CHUNK", chunk)
         assert run(["export", *KEY, "--bits", 300001, "--segments", 3, "--burn-in", 1000,
                     "--format", fmt, "-o", tmp_path / "seg"]) == 0
-        streams = segmented_streams(make_key(61.81, 0.23), 3, 300001, burn_in=1000)
         for i, stream in enumerate(streams):
             expected = (pack_bytes(stream)[0] if fmt == "raw"
                         else (stream.bits + ord("0")).tobytes() + b"\n")

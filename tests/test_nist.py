@@ -27,7 +27,7 @@ from rctm.nist import (
     serial,
     stream_outcomes,
 )
-from rctm.prbg import generate_bits, segmented_streams
+from rctm.prbg import BitStream, generate_bits, segmented_streams
 
 
 def bits_of(text):
@@ -779,6 +779,22 @@ class TestBattery:
         s = generate_bits(make_key(61.81, 0.23), n, burn_in=1000)
         assert [repr(row) for row in stream_outcomes(s)] == \
             [repr(row) for row in stream_outcomes(s.bits)]
+
+    # a battery names a key only when every stream is one of that key's
+    @pytest.mark.parametrize("case", ["key and array", "keyless streams", "segments"])
+    def test_key_fingerprint_only_when_every_stream_carries_it(self, case):
+        key = make_key(61.81, 0.23)
+        streams = {
+            "key and array": [generate_bits(key, 1000), stream(1000, 0.5)],
+            "keyless streams": [BitStream(bits=stream(1000, 0.5)),
+                                BitStream(bits=stream(1000, 0.49))],
+            "segments": segmented_streams(key, 2, 1000),
+        }[case]
+        meta = nist_battery(streams).stream_meta
+        if case == "segments":
+            assert meta["key_fingerprint"] == key.fingerprint()
+        else:
+            assert "key_fingerprint" not in meta
 
     def test_empty_battery_rejected(self):
         with pytest.raises(ValueError):

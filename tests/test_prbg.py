@@ -9,6 +9,7 @@ from rctm import core, prbg
 from rctm.core import _CHUNK, iterate, make_key
 from rctm.nist import monobit
 from rctm.prbg import (
+    BitStream,
     generate_bits,
     generate_quantized,
     orbit_stream,
@@ -221,6 +222,43 @@ class TestPackBytes:
     @pytest.mark.parametrize("n_bits", [0, 16])
     def test_unpack_accepts_the_bounds(self, n_bits):
         assert unpack_bits(b"\xff\x00", n_bits).size == n_bits
+
+
+class TestBitStream:
+    # each refused when made, as every test reads the packed bytes unchecked
+    @pytest.mark.parametrize("kwargs, message", [
+        ({}, "packed must be a 1-D uint8 array"),
+        ({"packed": np.zeros(2), "n_bits": 16}, "packed must be a 1-D uint8 array"),
+        ({"packed": np.zeros((1, 2), dtype=np.uint8), "n_bits": 16},
+         "packed must be a 1-D uint8 array"),
+        ({"packed": b"\x00\x00", "n_bits": 16}, "packed must be a 1-D uint8 array"),
+        ({"packed": np.zeros(2, dtype=np.uint8), "n_bits": 16.0},
+         "n_bits must be an integer >= 0 that packs into the 2 bytes given, got 16.0"),
+        ({"packed": np.zeros(0, dtype=np.uint8), "n_bits": -1},
+         "n_bits must be an integer >= 0 that packs into the 0 bytes given, got -1"),
+        ({"packed": np.zeros(1, dtype=np.uint8), "n_bits": 100},
+         "n_bits must be an integer >= 0 that packs into the 1 bytes given, got 100"),
+        ({"packed": np.zeros(3, dtype=np.uint8), "n_bits": 16},
+         "n_bits must be an integer >= 0 that packs into the 3 bytes given, got 16"),
+        # monobit read 11.854 for these 124 bits, 11.136 for the same bits unpacked
+        ({"packed": np.full(16, 0xFF, dtype=np.uint8), "n_bits": 124},
+         "the pad bits after the last bit must be zero"),
+        ({"packed": np.array([1], dtype=np.uint8), "n_bits": 7},
+         "the pad bits after the last bit must be zero"),
+    ])
+    def test_refuses_bytes_that_do_not_hold_its_bits(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BitStream(**kwargs)
+
+    @pytest.mark.parametrize("packed, n_bits", [
+        (np.zeros(0, dtype=np.uint8), 0),
+        (np.array([0xFF, 0xF0], dtype=np.uint8), 12),
+        (np.array([0xFF, 0xFF], dtype=np.uint8), np.int64(16)),
+    ])
+    def test_accepts_bytes_that_hold_its_bits(self, packed, n_bits):
+        stream = BitStream(packed=packed, n_bits=n_bits)
+        assert len(stream) == n_bits
+        assert np.array_equal(stream.bits, np.unpackbits(packed)[:n_bits])
 
 
 class TestQuantize:
