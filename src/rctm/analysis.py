@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MU_MAX, MU_MIN, MapKey, Trajectory, iterate_batch, make_key
+from .core import MU_MAX, MU_MIN, MapKey, Trajectory, _key_blocks, iterate_batch, make_key
 from .ent import byte_entropy
 from .prbg import quantize_values
 
@@ -176,21 +176,23 @@ def correlation_sweep(base: MapKey, delta: float = DEFAULT_DELTA, pairs: int = 1
     """Correlate the base trajectory against `pairs` perturbed trajectories.
 
     Each pair also gets its UACI/NPCR so one sweep serves both the
-    correlation and the differential analyses.  Raises when a perturbed
-    parameter leaves its valid range or delta is zero.
+    correlation and the differential analyses.  The perturbed orbits are
+    drawn a block at a time, so memory stays flat in `pairs`.  Raises when
+    a perturbed parameter leaves its valid range or delta is zero.
     """
     if pairs < 1:
         raise ValueError(f"pairs must be >= 1, got {pairs}")
     if length < 2:
         raise ValueError(f"length must be >= 2, got {length}")
     keys, skipped = _perturbed_keys(base, vary, delta, pairs)
-    states = iterate_batch([base, *keys], length, burn_in)
-    base_values, pert = states[0], states[1:]
-    correlations = np.array([pearson_correlation(base_values, pert[i])
-                             for i in range(pairs)])
-    uaci, npcr = differential(pert, base_values)
+    base_values = iterate_batch([base], length, burn_in)[0]
+    correlations, diffs = [], []
+    for _, states in _key_blocks(keys, length, burn_in):
+        correlations += [pearson_correlation(base_values, row) for row in states]
+        diffs.append(differential(states, base_values))
+    uaci, npcr = (np.concatenate(metric) for metric in zip(*diffs))
     return SweepResult(base_key=base, vary=vary, delta=delta, length=length,
-                       burn_in=burn_in, correlations=correlations,
+                       burn_in=burn_in, correlations=np.array(correlations),
                        uaci_pct=uaci, npcr_pct=npcr,
                        skipped_offsets=tuple(skipped))
 
@@ -259,9 +261,8 @@ def entropy_sweep(base: MapKey, sequences: int = 100, length: int = 100_000,
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     keys = [make_key(base.mu, base.x0 + k * seed_increment) for k in range(sequences)]
-    # blocks of 8 keys (two lockstep groups of the orbit loop) keep memory flat
-    entropies = np.array([byte_entropy(quantize_values(row)) for i in range(0, sequences, 8)
-                          for row in iterate_batch(keys[i:i + 8], length, burn_in)])
+    entropies = np.array([byte_entropy(quantize_values(row))
+                          for _, states in _key_blocks(keys, length, burn_in) for row in states])
     return EntropySweepResult(mean_entropy=float(entropies.mean()),
                               entropies=entropies,
                               seed_increment=seed_increment,

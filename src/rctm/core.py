@@ -232,23 +232,32 @@ def _kernel():
         fn = ctypes.CDLL(str(_build())).rctm_orbit
     except (OSError, subprocess.CalledProcessError):
         return None
-    array = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
-    fn.argtypes = [ctypes.c_int64, array, out, ctypes.c_int64, ctypes.c_int64, out]
+    # plain addresses: ndpointer arguments leave ctypes objects in reference
+    # cycles on every call; _orbit checks the arrays instead
+    fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                   ctypes.c_int64, ctypes.c_void_p]
     fn.restype = None
     return fn
+
+
+def _check_buffer(name: str, arr: np.ndarray) -> None:
+    if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+            and arr.flags.c_contiguous and arr.flags.writeable):
+        raise ValueError(f"{name} must be a C-contiguous, writeable float64 array")
 
 
 def _orbit(keys: Sequence[MapKey], x: np.ndarray, skip: int, out: np.ndarray) -> None:
     """Fill row i of ``out`` with the orbit of keys[i] from state x[i] after
     skip discarded iterates; x[i] becomes the state that follows the row."""
+    _check_buffer("x", x)
+    _check_buffer("out", out)
     rows, n = len(keys), out.shape[-1]
     if x.shape != (rows,) or out.size != rows * n:
         raise ValueError(f"{rows} keys need {rows} states and {rows} output rows")
     kernel = _kernel()
     if kernel is not None:
         params = np.array([(k.mu, k.n1, k.n2, k.scale, k.is_ctm) for k in keys])
-        kernel(rows, params, x, skip, n, out)
+        kernel(rows, params.ctypes.data, x.ctypes.data, skip, n, out.ctypes.data)
         return
     # no compiled loop: chain the reference step, one row after another
     out = out.reshape(rows, n)
@@ -279,6 +288,12 @@ def _check_counts(n: int, burn_in: int) -> None:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
 
 
+def _check_batch(keys: Sequence[MapKey], n: int, burn_in: int) -> None:
+    _check_counts(n, burn_in)
+    if not keys:
+        raise ValueError("keys must be non-empty")
+
+
 def orbit_chunks(key: MapKey, n: int, burn_in: int = 0) -> Iterator[np.ndarray]:
     """Yield the orbit of ``key`` as float64 arrays of ``_CHUNK`` values or fewer, totalling ``n``.
 
@@ -304,15 +319,38 @@ def iterate(key: MapKey, n: int, burn_in: int = 0) -> Trajectory:
     return Trajectory(values=iterate_batch([key], n, burn_in)[0], key=key, burn_in=burn_in)
 
 
-def iterate_batch(keys: Sequence[MapKey], n: int, burn_in: int = 0) -> np.ndarray:
+def iterate_batch(keys: Sequence[MapKey], n: int, burn_in: int = 0, *,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Orbits of several keys, one row per key.
 
     One call of the orbit loop runs every key, four rows in lockstep; the
     rows share nothing, so row i is bit-identical to a batch of keys[i] alone.
+    Given ``out``, a C-contiguous, writeable float64 array of shape
+    (len(keys), n), the orbits are written into it and it is returned.
     """
-    _check_counts(n, burn_in)
-    if not keys:
-        raise ValueError("keys must be non-empty")
-    out = np.empty((len(keys), n))
+    _check_batch(keys, n, burn_in)
+    if out is None:
+        out = np.empty((len(keys), n))
+    elif np.shape(out) != (len(keys), n):
+        raise ValueError(f"out must have shape ({len(keys)}, {n}), got {np.shape(out)}")
     _orbit(keys, np.array([k.x0 for k in keys]), burn_in, out)
     return out
+
+
+def _key_blocks(keys: Sequence[MapKey], n: int, burn_in: int = 0
+                ) -> Iterator[tuple[Sequence[MapKey], np.ndarray]]:
+    """The rows of ``iterate_batch(keys, n, burn_in)`` a block at a time:
+    (block keys, their rows) pairs, so a sweep over many keys runs in flat
+    memory.
+
+    A block is whole four-row lockstep groups of about ``_CHUNK`` samples
+    (at least 4 rows, at most every key).  Every block is written into one
+    buffer, allocated once: a block's rows are overwritten when the next
+    block is drawn.  n, burn_in and the keys are checked before allocating.
+    """
+    _check_batch(keys, n, burn_in)
+    rows = min(len(keys), max(4, _CHUNK // n // 4 * 4))
+    buffer = np.empty((rows, n))
+    for start in range(0, len(keys), rows):
+        block = keys[start:start + rows]
+        yield block, iterate_batch(block, n, burn_in, out=buffer[:len(block)])

@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (MU_MIN, InvalidKeyError, MapKey, _branch_log_slopes, _check_x0, ctm_key,
-                   iterate, iterate_batch, make_key)
+from .core import (MU_MIN, InvalidKeyError, MapKey, _branch_log_slopes, _check_x0, _key_blocks,
+                   ctm_key, iterate, iterate_batch, make_key)
 
 @dataclass(frozen=True)
 class LyapunovEstimate:
@@ -107,12 +107,10 @@ def lyapunov_grid(mu_values: Sequence[float], x0: float, n: int = 100_000,
                   burn_in: int = 100) -> list[LyapunovEstimate]:
     """Lyapunov estimates over a mu grid, less the values :func:`grid_keys` skips."""
     keys, _ = grid_keys(mu_values, x0)
-    # blocks of 8 keys (two lockstep groups of the orbit loop) keep memory flat
     return [
         LyapunovEstimate(mu=key.mu, exponent=float(_branch_log_slopes(row, key).mean()),
                          n_samples=n)
-        for i in range(0, len(keys), 8)
-        for key, row in zip(keys[i:i + 8], iterate_batch(keys[i:i + 8], n, burn_in))
+        for block, states in _key_blocks(keys, n, burn_in) for key, row in zip(block, states)
     ]
 
 

@@ -163,6 +163,7 @@ def _bit_streams(key: MapKey, n: int, burn_in: int, fingerprints: list[str]) -> 
             out.append(np.empty(size, dtype=np.uint8))
         out[-1][at:at + piece.size] = piece
         at = (at + piece.size) % size
+        del piece  # copied: free it before packed_chunks packs the next
     return [BitStream(packed=packed, n_bits=n, key_fingerprint=fp, degenerate=degenerate)
             for packed, fp in zip(out, fingerprints)]
 

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rctm import core
 from rctm.analysis import (
     correlation_sweep,
     differential,
@@ -13,7 +15,7 @@ from rctm.analysis import (
 )
 from rctm.analysis import _perturbed_keys
 from rctm.core import InvalidKeyError, iterate, iterate_batch, make_key
-from rctm.ent import ent_battery, histogram_uniformity
+from rctm.ent import byte_entropy, ent_battery, histogram_uniformity
 from rctm.prbg import generate_quantized, quantize_values
 
 
@@ -193,6 +195,38 @@ class TestCorrelationSweep:
         assert np.unique(result.correlations).size == distinct
 
 
+    # blocks of 4, 4 and 2 rows; 260, 260 and 80; one block of 3 rows
+    @pytest.mark.parametrize("chunk,pairs,length", [(37, 10, 9), (None, 600, 1000),
+                                                    (None, 3, 1000)])
+    def test_blocks_give_the_one_batch_results(self, monkeypatch, chunk, pairs, length):
+        if chunk is not None:
+            monkeypatch.setattr(core, "_CHUNK", chunk)
+        base = make_key(61.81, 0.23)
+        result = correlation_sweep(base, 2.0 ** -48, pairs=pairs, length=length)
+        keys, _ = _perturbed_keys(base, "mu", 2.0 ** -48, pairs)
+        states = iterate_batch([base, *keys], length, 100)
+        correlations = [pearson_correlation(states[0], row) for row in states[1:]]
+        uaci, npcr = differential(states[1:], states[0])
+        assert repr(result.correlations.tolist()) == repr(correlations)
+        assert result.uaci_pct.tobytes() == uaci.tobytes()
+        assert result.npcr_pct.tobytes() == npcr.tobytes()
+
+    def test_memory_does_not_grow_with_pairs(self):
+        base = make_key(61.81, 0.23)
+        peaks = []
+        for pairs in (1000, 4000):
+            tracemalloc.start()
+            try:
+                correlation_sweep(base, pairs=pairs, length=1000)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # all 4000 orbits at once would hold 32 MB, and differential two more
+        # temporaries of that size; a block of 260 orbits is 2 MB
+        assert peaks[1] < 10 * 2**20
+        assert peaks[1] - peaks[0] < 2 * 2**20
+
+
 class TestKeySensitivity:
     def test_case_vary_mu(self):
         result = key_sensitivity_run(make_key(49.13, 0.28), "mu",
@@ -322,6 +356,19 @@ class TestEntropySweep:
     def test_empty_orbits_refused_under_length(self):
         with pytest.raises(ValueError, match="^length must be >= 1, got 0$"):
             entropy_sweep(make_key(61.81, 0.23), length=0)
+
+    # blocks of 4, 4 and 2 rows; 4 and 2; one block of 3 rows
+    @pytest.mark.parametrize("chunk,sequences,length", [(37, 10, 9), (None, 6, 100_000),
+                                                        (None, 3, 20_000)])
+    def test_blocks_give_the_one_batch_results(self, monkeypatch, chunk, sequences, length):
+        if chunk is not None:
+            monkeypatch.setattr(core, "_CHUNK", chunk)
+        base = make_key(61.81, 0.23)
+        result = entropy_sweep(base, sequences=sequences, length=length, burn_in=3)
+        keys = [make_key(61.81, 0.23 + k * 2.0 ** -20) for k in range(sequences)]
+        expected = [byte_entropy(quantize_values(row))
+                    for row in iterate_batch(keys, length, 3)]
+        assert repr(result.entropies.tolist()) == repr(expected)
 
 
 class TestKeySpace:

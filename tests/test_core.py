@@ -1,4 +1,5 @@
 import ctypes
+import gc
 import math
 import os
 import shutil
@@ -253,6 +254,96 @@ class TestIterateBatch:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             iterate_batch([], 10)
+
+    def test_out_is_filled_and_returned(self):
+        keys = random_keys(6, seed=3)
+        out = np.full((6, 40), np.nan)
+        assert iterate_batch(keys, 40, 7, out=out) is out
+        assert np.array_equal(out, iterate_batch(keys, 40, 7))
+
+    @pytest.mark.parametrize("out", [
+        np.empty((3, 40)),              # a row short
+        np.empty((4, 41)),              # a sample long
+        np.empty(160),                  # the right size, flat
+        np.empty((4, 40), np.float32),
+        np.empty((4, 80))[:, ::2],      # strided rows
+        np.empty((40, 4)).T,            # Fortran order
+        np.empty((4, 40)).tolist(),
+    ])
+    def test_out_must_be_a_contiguous_float64_array_of_the_batch_shape(self, out):
+        with pytest.raises(ValueError, match="^out must"):
+            iterate_batch(random_keys(4), 40, out=out)
+
+    def test_read_only_out_refused(self):
+        out = np.empty((4, 40))
+        out.flags.writeable = False
+        with pytest.raises(ValueError, match="^out must"):
+            iterate_batch(random_keys(4), 40, out=out)
+
+
+class TestKeyBlocks:
+    @pytest.mark.parametrize("chunk,n,count,sizes", [
+        (37, 9, 10, [4, 4, 2]),     # 37 // 9 = 4 rows: a partial last block
+        (37, 3, 10, [10]),          # 12 rows fit, capped at the keys given
+        (37, 40, 6, [4, 2]),        # no row fits: one lockstep group a block
+        (None, 1000, 600, [260, 260, 80]),
+        (None, 1000, 3, [3]),       # fewer than 4 keys: one block of 3 rows
+        (None, 10**5, 6, [4, 2]),
+    ])
+    def test_blocks_are_one_batch_in_one_reused_buffer(self, monkeypatch, chunk, n, count,
+                                                       sizes):
+        if chunk is not None:
+            monkeypatch.setattr(core, "_CHUNK", chunk)
+        keys = random_keys(count, seed=8)
+        expected = iterate_batch(keys, n, 5)
+        blocks = [(block, states.copy(), states) for block, states in core._key_blocks(keys, n, 5)]
+        assert [len(block) for block, _, _ in blocks] == sizes
+        assert [key for block, _, _ in blocks for key in block] == keys
+        assert np.concatenate([rows for _, rows, _ in blocks]).tobytes() == expected.tobytes()
+        first = blocks[0][2]
+        assert all(np.shares_memory(states, first) for _, _, states in blocks)
+
+    @pytest.mark.parametrize("keys,n,burn_in,message", [
+        ([], 10, 0, "keys must be non-empty"),
+        (["not drawn"], 0, 0, "n must be >= 1, got 0"),
+        (["not drawn"], 10, -1, "burn_in must be >= 0, got -1"),
+    ])
+    def test_counts_and_keys_checked_before_any_orbit(self, keys, n, burn_in, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            next(core._key_blocks(keys, n, burn_in))
+
+
+class TestOrbitBuffers:
+    def test_kernel_calls_leave_no_cyclic_garbage(self, kernel):
+        keys = random_keys(5)
+        iterate_batch(keys, 10)
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(100):
+                iterate_batch(keys, 10)
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert not garbage, sorted({type(obj).__name__ for obj in garbage})
+
+    @pytest.mark.parametrize("name", ["x", "out"])
+    @pytest.mark.parametrize("fault", ["float32", "strided", "read-only"])
+    def test_states_and_output_are_checked_on_either_kernel(self, kernel, name, fault):
+        arrays = {"x": np.array([0.3, 0.4]), "out": np.empty((2, 5))}
+        arr = arrays[name]
+        if fault == "float32":
+            arr = arr.astype(np.float32)
+        elif fault == "strided":
+            arr = np.repeat(arr, 2, axis=-1)[..., ::2]
+        else:
+            arr.flags.writeable = False
+        arrays[name] = arr
+        with pytest.raises(ValueError, match=f"^{name} must be a C-contiguous, writeable float64"):
+            core._orbit([make_key(61.81, 0.23)] * 2, arrays["x"], 0, arrays["out"])
 
 
 class TestLogDerivative:

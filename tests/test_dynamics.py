@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rctm.core import InvalidKeyError, ctm_key, iterate_batch, make_key
+from rctm import core
+from rctm.core import InvalidKeyError, _branch_log_slopes, ctm_key, iterate_batch, make_key
 from rctm.dynamics import (
     bifurcation_sample,
     grid_keys,
@@ -135,6 +136,20 @@ class TestLyapunov:
         for est in grid:
             single = lyapunov(make_key(est.mu, 0.23), n=5000, burn_in=100)
             assert est.exponent == single.exponent
+
+    # blocks of 4, 4 and 2 rows; 24 and 6; one block of 3 rows
+    @pytest.mark.parametrize("chunk,points,n", [(37, 10, 9), (None, 30, 10_000),
+                                                (None, 3, 10_000)])
+    def test_blocks_give_the_one_batch_results(self, monkeypatch, chunk, points, n):
+        if chunk is not None:
+            monkeypatch.setattr(core, "_CHUNK", chunk)
+        mu_grid = [1.5, *(2.25 + 3.1 * k for k in range(points - 1))]
+        grid = lyapunov_grid(mu_grid, 0.23, n=n, burn_in=7)
+        keys, skipped = grid_keys(mu_grid, 0.23)
+        assert not skipped and [est.mu for est in grid] == [key.mu for key in keys]
+        expected = [float(_branch_log_slopes(row, key).mean())
+                    for key, row in zip(keys, iterate_batch(keys, n, 7))]
+        assert repr([est.exponent for est in grid]) == repr(expected)
 
 
 class TestPhaseCoverage:
