@@ -260,6 +260,8 @@ def entropy_sweep(base: MapKey, sequences: int = 100, length: int = 100_000,
         raise ValueError(f"sequences must be >= 1, got {sequences}")
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
+    if not math.isfinite(seed_increment):  # k = 0 would give x0 + 0 * inf, a NaN x0
+        raise ValueError(f"seed_increment must be finite, got {seed_increment!r}")
     keys = [make_key(base.mu, base.x0 + k * seed_increment) for k in range(sequences)]
     entropies = np.array([byte_entropy(quantize_values(row))
                           for _, states in _key_blocks(keys, length, burn_in) for row in states])

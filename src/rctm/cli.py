@@ -23,8 +23,7 @@ import numpy as np
 from . import analysis, core, dynamics, nist
 from .core import MapKey, make_key
 from .ent import ent_battery
-from .prbg import (DEGENERATE_TAIL, orbit_stream, packed_chunks, quantize_values,
-                   segmented_streams)
+from .prbg import DEGENERATE_TAIL, orbit_stream, packed_chunks, segmented_streams
 
 # ENT gate values, calibrated for the standard 10^6-byte battery run
 ENT_THRESHOLDS = {
@@ -40,7 +39,7 @@ ENT_THRESHOLDS = {
 # Per --kind or --what, each table maps the options it reads to the library parameter
 # they fill (None: read by the command).  An option left out takes that parameter's
 # default; one given to a kind that does not read it is refused before any output, and
-# a count below the floor of the parameter it fills is refused under the option's name.
+# a value the parameter it fills refuses is refused under the option's name.
 _PERTURBATION = {"delta": "delta", "vary": "vary", "length": "length", "burn_in": "burn_in"}
 SWEEP_READS = {
     "correlation": {**_PERTURBATION, "pairs": "pairs", "pairs_csv": None},
@@ -79,16 +78,16 @@ def _given(args, table: dict, kind: str, owner: str) -> dict:
 
 @contextlib.contextmanager
 def _under_options(reads: dict, kwargs: dict):
-    """Re-raise a library count refusal, "<param> must be >= <floor>, got <value>",
-    under the option of ``reads`` that filled ``param`` in ``kwargs``."""
+    """Re-raise a library refusal, "<param> must be <condition>", under the
+    option of ``reads`` that filled ``param`` in ``kwargs``."""
     try:
         yield
     except ValueError as exc:
-        param, _, rest = str(exc).partition(" must be >= ")
+        param, _, rest = str(exc).partition(" must be ")
         given = {p: dest for dest, p in reads.items() if p in kwargs}
         if param not in given:
             raise
-        raise ValueError(f"--{given[param].replace('_', '-')} must be >= {rest}") from exc
+        raise ValueError(f"--{given[param].replace('_', '-')} must be {rest}") from exc
 
 
 def _used(func, kwargs: dict, name: str):
@@ -232,6 +231,9 @@ def cmd_export(args) -> int:
 def _mu_grid(mu_min: float = 2.001, mu_max: float = 99.999,
              grid_points: int = 200) -> list[float]:
     _check_bits(grid_points, "--grid-points")
+    for option, value in (("--mu-min", mu_min), ("--mu-max", mu_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{option} must be finite, got {value!r}")
     return [float(v) for v in np.linspace(mu_min, mu_max, grid_points)]
 
 
@@ -259,8 +261,7 @@ def cmd_analyze_dynamics(args) -> int:
                    "estimates": [{"mu": e.mu, "lambda": e.exponent,
                                   "n_samples": e.n_samples} for e in estimates]}
         else:
-            header, rows = ["mu", "coverage"], [
-                (key.mu, dynamics.phase_coverage(key, **kwargs)) for key in keys]
+            header, rows = ["mu", "coverage"], dynamics.phase_coverage(supported, args.x0, **kwargs)
             doc = {"what": "coverage", "x0": args.x0,
                    "iterations": _used(dynamics.phase_coverage, kwargs, "n"),
                    "bins": _used(dynamics.phase_coverage, kwargs, "bins"), "skipped_mu": skipped,
@@ -314,7 +315,7 @@ def cmd_test_ent(args) -> int:
     _check_bits(args.bytes, "--bytes")
     _check_bits(args.burn_in, "--burn-in", 0)
     key = make_key(args.mu, args.x0)
-    data, degenerate = orbit_stream(key, args.bytes, args.burn_in, quantize_values)
+    data, degenerate = orbit_stream(key, args.bytes, args.burn_in)
     report = ent_battery(data)
     checks = _ent_checks(report)
     payload = {

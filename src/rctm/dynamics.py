@@ -114,10 +114,16 @@ def lyapunov_grid(mu_values: Sequence[float], x0: float, n: int = 100_000,
     ]
 
 
-def phase_coverage(key: MapKey, n: int = 100_000, bins: int = 1000) -> float:
-    """Fraction of `bins` equal cells of [0, 1] visited in n iterates."""
+def phase_coverage(mu_grid: Sequence[float], x0: float, n: int = 100_000,
+                   bins: int = 1000) -> list[tuple[float, float]]:
+    """(mu, fraction of `bins` equal cells of [0, 1] visited in n iterates)
+    over a mu grid, less the values :func:`grid_keys` skips."""
     if bins < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")
-    traj = iterate(key, n)
-    counts, _ = np.histogram(traj.values, bins=bins, range=(0.0, 1.0))
-    return float(np.count_nonzero(counts)) / bins
+    keys, _ = grid_keys(mu_grid, x0)
+    coverage = []
+    for block, states in _key_blocks(keys, n):
+        for key, row in zip(block, states):
+            counts, _ = np.histogram(row, bins=bins, range=(0.0, 1.0))
+            coverage.append((key.mu, float(np.count_nonzero(counts)) / bins))
+    return coverage

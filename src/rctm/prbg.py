@@ -116,14 +116,13 @@ def stream_chunks(key: MapKey, n: int, burn_in: int,
         yield convert(block), degenerate
 
 
-def orbit_stream(key: MapKey, n: int, burn_in: int,
-                 convert: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, bool]:
-    """The chunks of :func:`stream_chunks` filled into one uint8 array of n
-    values, plus the run's degenerate flag."""
+def orbit_stream(key: MapKey, n: int, burn_in: int) -> tuple[np.ndarray, bool]:
+    """The quantized chunks of :func:`stream_chunks` filled into one uint8
+    array of n bytes, plus the run's degenerate flag."""
     _check_counts(n, burn_in)  # before allocating: a negative n must name itself
     out = np.empty(n, dtype=np.uint8)
     pos = 0
-    for chunk, degenerate in stream_chunks(key, n, burn_in, convert):
+    for chunk, degenerate in stream_chunks(key, n, burn_in, quantize_values):
         out[pos:pos + chunk.size] = chunk
         pos += chunk.size
     return out, degenerate
@@ -221,4 +220,4 @@ def quantize_values(values: np.ndarray) -> np.ndarray:
 
 def generate_quantized(key: MapKey, n: int, burn_in: int = 0) -> np.ndarray:
     """n quantized orbit bytes, streamed so long runs stay memory-flat."""
-    return orbit_stream(key, n, burn_in, quantize_values)[0]
+    return orbit_stream(key, n, burn_in)[0]

@@ -357,6 +357,13 @@ class TestEntropySweep:
         with pytest.raises(ValueError, match="^length must be >= 1, got 0$"):
             entropy_sweep(make_key(61.81, 0.23), length=0)
 
+    @pytest.mark.parametrize("increment", [math.inf, -math.inf, math.nan])
+    def test_non_finite_increment_refused_under_its_name(self, increment):
+        # k = 0 would give x0 + 0 * inf = nan, refused as a bad x0
+        with pytest.raises(ValueError, match=f"^seed_increment must be finite, got {increment}$"):
+            entropy_sweep(make_key(61.81, 0.23), sequences=2, length=10,
+                          seed_increment=increment)
+
     # blocks of 4, 4 and 2 rows; 4 and 2; one block of 3 rows
     @pytest.mark.parametrize("chunk,sequences,length", [(37, 10, 9), (None, 6, 100_000),
                                                         (None, 3, 20_000)])

@@ -270,6 +270,25 @@ class TestDynamicsCommand:
         assert capsys.readouterr().err == "error: no supported mu values in grid\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("option", ["--mu-min", "--mu-max"])
+    def test_non_finite_grid_endpoint_exits_1_before_any_file(self, tmp_path, monkeypatch,
+                                                              capsys, option, value):
+        monkeypatch.chdir(tmp_path)
+        # "--mu-min=-inf": a separate "-inf" would read as an option
+        assert run(["analyze-dynamics", "--what", "lyapunov", f"{option}={value}",
+                    "--iterations", 100, "-o", "out.csv"]) == 1
+        assert capsys.readouterr().err == f"error: {option} must be finite, got {value}\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_nan_single_mu_is_a_grid_with_no_supported_value(self, tmp_path, monkeypatch,
+                                                              capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["analyze-dynamics", "--what", "lyapunov", "--mu", "nan",
+                    "--iterations", 100, "-o", "out.csv"]) == 1
+        assert capsys.readouterr().err == "error: no supported mu values in grid\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("points", [0, -1])
     @pytest.mark.parametrize("what", ["bifurcation", "lyapunov", "coverage"])
     def test_empty_grid_exits_1(self, tmp_path, capsys, what, points):
@@ -541,6 +560,22 @@ class TestTuningOptions:
         monkeypatch.chdir(tmp_path)
         assert run([*argv, option, value, "-o", "out.json"]) == 1
         assert capsys.readouterr().err == f"error: {option} must be >= {floor}, got {value}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("kind, value, condition", [
+        ("entropy", "inf", "finite, got inf"),
+        ("entropy", "-inf", "finite, got -inf"),
+        ("entropy", "nan", "finite, got nan"),
+        ("correlation", "0", "finite and non-zero"),
+        ("sensitivity", "inf", "finite"),
+    ])
+    def test_bad_delta_is_refused_under_the_option(self, tmp_path, monkeypatch, capsys,
+                                                   kind, value, condition):
+        # a library refusal other than a count floor names the option too
+        monkeypatch.chdir(tmp_path)
+        assert run(["sweep", "--kind", kind, *KEY, f"--delta={value}", *CHEAP["sweep"],
+                    "-o", "out.json"]) == 1
+        assert capsys.readouterr().err == f"error: --delta must be {condition}\n"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("option", ["--settle", "--keep"])

@@ -40,7 +40,8 @@ class TestGridKeys:
         lambda grid: grid_keys(grid, 1.0),
         lambda grid: bifurcation_sample(grid, 1.0),
         lambda grid: lyapunov_grid(grid, 1.0, n=100),
-    ], ids=["grid_keys", "bifurcation_sample", "lyapunov_grid"])
+        lambda grid: phase_coverage(grid, 1.0, n=100),
+    ], ids=["grid_keys", "bifurcation_sample", "lyapunov_grid", "phase_coverage"])
     def test_bad_x0_refused_even_with_no_supported_mu(self, sample):
         with pytest.raises(InvalidKeyError, match=r"^x0 must lie in \(0, 1\), got 1\.0$"):
             sample([3.0, 150.0, math.nan])
@@ -50,7 +51,8 @@ class TestGridKeys:
         lambda grid: grid_keys(grid, 0.23),
         lambda grid: bifurcation_sample(grid, 0.23),
         lambda grid: lyapunov_grid(grid, 0.23, n=100),
-    ], ids=["grid_keys", "bifurcation_sample", "lyapunov_grid"])
+        lambda grid: phase_coverage(grid, 0.23, n=100),
+    ], ids=["grid_keys", "bifurcation_sample", "lyapunov_grid", "phase_coverage"])
     def test_grid_with_no_supported_value_refused_alike(self, sample, grid):
         with pytest.raises(ValueError, match="^no supported mu values in grid$"):
             sample(grid)
@@ -154,17 +156,36 @@ class TestLyapunov:
 
 class TestPhaseCoverage:
     def test_full_coverage_in_robust_regime(self):
-        assert phase_coverage(make_key(20.33, 0.23), n=100_000, bins=100) == 1.0
+        [(_, cov)] = phase_coverage([20.33], 0.23, n=100_000, bins=100)
+        assert cov == 1.0
 
     def test_degenerate_orbit_covers_little(self):
         # x0 = 0.5 maps to 1.0 and then sticks at the fixed point 0
-        cov = phase_coverage(make_key(61.81, 0.5), n=100_000, bins=100)
+        [(_, cov)] = phase_coverage([61.81], 0.5, n=100_000, bins=100)
         assert 1 / 100 <= cov <= 0.05
 
     def test_tent_arm_partial_coverage(self):
-        cov = phase_coverage(ctm_key(1.2, 0.23), n=100_000, bins=100)
+        [(_, cov)] = phase_coverage([1.2], 0.23, n=100_000, bins=100)
         assert cov < 1.0
 
     def test_rejects_bad_bins(self):
         with pytest.raises(ValueError):
-            phase_coverage(make_key(61.81, 0.23), n=100, bins=1)
+            phase_coverage([61.81], 0.23, n=100, bins=1)
+
+    # blocks of 4, 4 and 2 rows; 24 and 6; one block of 3 rows
+    @pytest.mark.parametrize("chunk,points,n", [(37, 10, 9), (None, 30, 10_000),
+                                                (None, 3, 10_000)])
+    def test_blocks_give_the_one_batch_results(self, monkeypatch, chunk, points, n):
+        if chunk is not None:
+            monkeypatch.setattr(core, "_CHUNK", chunk)
+        # a tent-arm value first, and an integer mu the grid skips
+        mu_grid = [1.5, 3.0, *(2.25 + 3.1 * k for k in range(points - 1))]
+        coverage = phase_coverage(mu_grid, 0.23, n=n, bins=100)
+        keys, skipped = grid_keys(mu_grid, 0.23)
+        assert skipped == [3.0] and len(keys) == points
+
+        def covered(row):
+            counts, _ = np.histogram(row, bins=100, range=(0.0, 1.0))
+            return float(np.count_nonzero(counts)) / 100
+        expected = [(key.mu, covered(row)) for key, row in zip(keys, iterate_batch(keys, n))]
+        assert repr(coverage) == repr(expected)

@@ -296,12 +296,12 @@ class TestStreamHealth:
     ])
     def test_collapsed_orbit_flag(self, n, flagged):
         assert generate_bits(self.COLLAPSED, n).degenerate is flagged
-        assert orbit_stream(self.COLLAPSED, n, 0, quantize_values)[1] is flagged
+        assert orbit_stream(self.COLLAPSED, n, 0)[1] is flagged
 
     def test_chaotic_orbit_is_not_flagged(self):
         key = make_key(61.81, 0.23)
         assert generate_bits(key, _CHUNK + 50).degenerate is False
-        data, degenerate = orbit_stream(key, 5000, 0, quantize_values)
+        data, degenerate = orbit_stream(key, 5000, 0)
         assert degenerate is False
         assert np.array_equal(data, generate_quantized(key, 5000))
 
