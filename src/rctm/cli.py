@@ -234,6 +234,8 @@ def _mu_grid(mu_min: float = 2.001, mu_max: float = 99.999,
     for option, value in (("--mu-min", mu_min), ("--mu-max", mu_max)):
         if not math.isfinite(value):
             raise ValueError(f"{option} must be finite, got {value!r}")
+    if not math.isfinite(mu_max - mu_min):  # linspace's step would overflow
+        raise ValueError(f"--mu-max - --mu-min must be finite, got {mu_max - mu_min!r}")
     return [float(v) for v in np.linspace(mu_min, mu_max, grid_points)]
 
 

@@ -83,12 +83,14 @@ class ProportionLine:
 
 @dataclass(frozen=True)
 class TestReport:
-    """Named results of one battery run: one ProportionLine per test entry."""
+    """Named results of one battery run: one ProportionLine per test entry,
+    counted from ``rows``, each stream's TestOutcomes in stream order."""
 
     battery: str
     stream_meta: dict
     entries: tuple[ProportionLine, ...]
     passed: bool
+    rows: tuple[tuple[TestOutcome, ...], ...]
 
 
 def _normal_cdf(x: float) -> float:
@@ -586,47 +588,9 @@ def dft(bits, *, count: int | None = None) -> tuple[float, float]:
 
 
 def stream_outcomes(bits) -> list[TestOutcome]:
-    """All subset tests on one stream, serial's second p-value as its own row.
-
-    Runs the battery's loop on the one stream, so the rows are the ones
-    :func:`nist_battery` counts.  A 0/1 array is checked and packed once.
-    """
-    stream = _as_stream(bits)
-    return _subset_rows([stream], len(stream))[0]
-
-
-def _subset_rows(streams: Sequence[BitStream], n: int) -> list[list[TestOutcome]]:
-    """The rows of :func:`stream_outcomes` for each of the n-bit BitStreams.
-
-    One worker thread transforms and counts each stream's spectrum in one
-    set of four-step buffers while the calling thread runs the other
-    eight tests; dft then takes the count.  Every
-    result is the one the tests give called one by one.  Each test gets
-    the BitStream itself and reads its packed bytes unchecked.  Only the
-    untraced count runs on the worker: the tests are looked up on the
-    module when called, so a wrapper set there (as the benchmark's tracer,
-    which keeps one span stack) sees every call.  One thread and one set
-    of buffers serve all the streams, one stream at a time.  An exception
-    on either thread reaches the caller after the worker has ended.
-    """
-    if n < SUBSET_MIN_BITS:
-        raise ValueError(f"the NIST subset needs at least {SUBSET_MIN_BITS} bits, got {n}")
-    # imported here, not with the module: it costs about 4 ms, and most
-    # programs that import rctm run no battery
-    from concurrent.futures import ThreadPoolExecutor
-
-    plan = _FourStep(n)
-    rows = []
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="rctm-spectral") as worker:
-        for s in streams:
-            pending = worker.submit(_spectral_count, s.packed, n, plan)
-            results = [globals()[name](s) for name in TEST_NAMES[:-1]]
-            # a count that failed raises here
-            results.append(globals()["dft"](s, count=pending.result()))
-            results[7:8] = results[7]  # serial's two results are the serial and serial_2 rows
-            rows.append([TestOutcome(entry, stat, p, p >= ALPHA)
-                         for entry, (stat, p) in zip(ENTRY_NAMES, results)])
-    return rows
+    """All subset tests on one stream, serial's second p-value as its own row:
+    the one row of :func:`nist_battery` run on that stream."""
+    return list(nist_battery([bits]).rows[0])
 
 
 def min_proportion(streams: int) -> float:
@@ -640,6 +604,17 @@ def min_proportion(streams: int) -> float:
 def nist_battery(streams: Sequence[BitStream | np.ndarray]) -> TestReport:
     """Run every subset test on every stream and aggregate pass proportions.
 
+    One worker thread transforms and counts each stream's spectrum in one
+    set of four-step buffers while the calling thread runs the other
+    eight tests; dft then takes the count.  Every row is the one the tests
+    give called one by one.  Each test gets the BitStream itself and reads
+    its packed bytes unchecked.  Only the untraced count runs on the
+    worker: the tests are looked up on the module when called, so a
+    wrapper set there (as the benchmark's tracer, which keeps one span
+    stack) sees every call.  One thread and one set of buffers serve all
+    the streams, one stream at a time.  An exception on either thread
+    reaches the caller after the worker has ended.
+
     Parameters
     ----------
     streams : sequence of BitStream or 0/1 arrays
@@ -649,30 +624,46 @@ def nist_battery(streams: Sequence[BitStream | np.ndarray]) -> TestReport:
     Returns
     -------
     TestReport
-        One ProportionLine per test entry; the battery passes when every
-        proportion reaches the minimum-proportion bound for the stream
-        count.
+        Each stream's rows, and one ProportionLine per test entry counted
+        from them; the battery passes when every proportion reaches the
+        minimum-proportion bound for the stream count.
     """
     # a 0/1 array is checked and packed here, once; a BitStream is used as it is
     bitstreams = [_as_stream(s) for s in streams]
     lengths = sorted({len(s) for s in bitstreams})
     if len(lengths) != 1:
         raise ValueError(f"battery needs one or more streams of one length, got lengths {lengths}")
-    per_test: dict[str, list[bool]] = {name: [] for name in ENTRY_NAMES}
-    for rows in _subset_rows(bitstreams, lengths[0]):
-        for row in rows:
-            per_test[row.test].append(row.passed)
-    m = len(streams)
+    n = lengths[0]
+    if n < SUBSET_MIN_BITS:
+        raise ValueError(f"the NIST subset needs at least {SUBSET_MIN_BITS} bits, got {n}")
+    # imported here, not with the module: it costs about 4 ms, and most
+    # programs that import rctm run no battery
+    from concurrent.futures import ThreadPoolExecutor
+
+    plan = _FourStep(n)
+    rows = []
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="rctm-spectral") as worker:
+        for s in bitstreams:
+            pending = worker.submit(_spectral_count, s.packed, n, plan)
+            results = [globals()[name](s) for name in TEST_NAMES[:-1]]
+            # a count that failed raises here
+            results.append(globals()["dft"](s, count=pending.result()))
+            results[7:8] = results[7]  # serial's two results are the serial and serial_2 rows
+            rows.append(tuple(TestOutcome(entry, stat, p, p >= ALPHA)
+                              for entry, (stat, p) in zip(ENTRY_NAMES, results)))
+    m = len(rows)
     bound = min_proportion(m)
+    # a column of rows holds one entry's outcomes on every stream
+    counts = [sum(outcome.passed for outcome in column) for column in zip(*rows)]
     lines = tuple(
-        ProportionLine(test=name, passed_count=sum(flags), stream_count=m,
-                       proportion=sum(flags) / m, min_proportion=bound,
-                       passed=sum(flags) / m >= bound)
-        for name, flags in per_test.items()
+        ProportionLine(test=name, passed_count=count, stream_count=m,
+                       proportion=count / m, min_proportion=bound,
+                       passed=count / m >= bound)
+        for name, count in zip(ENTRY_NAMES, counts)
     )
-    meta = {"streams": m, "bits_per_stream": lengths[0]}
+    meta = {"streams": m, "bits_per_stream": n}
     keys = {s.key_fingerprint.split(":")[0] for s in bitstreams}
     if len(keys) == 1 and "" not in keys:  # a 0/1 array's stream has no key
         meta["key_fingerprint"] = keys.pop()
     return TestReport(battery="nist-subset", stream_meta=meta, entries=lines,
-                      passed=all(line.passed for line in lines))
+                      passed=all(line.passed for line in lines), rows=tuple(rows))

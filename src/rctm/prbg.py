@@ -7,7 +7,7 @@ MSB-first within each byte so exported streams are stable across tools.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -18,7 +18,7 @@ THRESHOLD = 0.5
 DEGENERATE_TAIL = 100
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class BitStream:
     """Thresholded binary sequence tagged with its generating key.
 
@@ -26,39 +26,43 @@ class BitStream:
     holding ``n_bits`` bits, then zero pad bits.  ``bits`` unpacks a fresh
     0/1 copy on each access.  A 0/1 array given as ``bits=`` (to the
     constructor or to ``dataclasses.replace``) is checked and packed in
-    place of ``packed`` and ``n_bits``; bytes that do not hold exactly
-    ``n_bits`` bits with zero pad bits are refused.
+    place of ``packed`` and ``n_bits``; without it ``replace`` keeps the
+    stored bytes.  Bytes that do not hold exactly ``n_bits`` bits with
+    zero pad bits are refused.
     """
 
-    packed: np.ndarray | None = None
-    n_bits: int = 0
-    key_fingerprint: str = ""
-    degenerate: bool = False  # the generating run's flag, see stream_chunks
-    bits: InitVar[np.ndarray | None] = None
+    packed: np.ndarray
+    n_bits: int
+    key_fingerprint: str
+    degenerate: bool  # the generating run's flag, see stream_chunks
 
-    def __post_init__(self, bits):
+    def __init__(self, packed: np.ndarray | None = None, n_bits: int = 0,
+                 key_fingerprint: str = "", degenerate: bool = False,
+                 bits: np.ndarray | None = None):
         if bits is not None:
             arr = np.asarray(bits)
             _check_bit_array(arr)
-            object.__setattr__(self, "packed", np.packbits(arr))
-            object.__setattr__(self, "n_bits", arr.size)
-        packed, n = self.packed, self.n_bits
+            packed, n_bits = np.packbits(arr), arr.size
         if not (isinstance(packed, np.ndarray) and packed.dtype == np.uint8 and packed.ndim == 1):
             raise ValueError("packed must be a 1-D uint8 array")
-        if not (isinstance(n, (int, np.integer)) and n >= 0 and packed.size == (n + 7) // 8):
+        if not (isinstance(n_bits, (int, np.integer)) and n_bits >= 0
+                and packed.size == (n_bits + 7) // 8):
             raise ValueError(f"n_bits must be an integer >= 0 that packs into the {packed.size} "
-                             f"bytes given, got {n!r}")
-        if n % 8 and packed[-1] & (0xFF >> n % 8):
+                             f"bytes given, got {n_bits!r}")
+        if n_bits % 8 and packed[-1] & (0xFF >> n_bits % 8):
             raise ValueError("the pad bits after the last bit must be zero")
         packed.flags.writeable = False
+        for name, value in (("packed", packed), ("n_bits", n_bits),
+                            ("key_fingerprint", key_fingerprint), ("degenerate", degenerate)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def bits(self) -> np.ndarray:
+        """A fresh 0/1 uint8 copy of the bits."""
+        return np.unpackbits(self.packed, count=self.n_bits)
 
     def __len__(self) -> int:
         return self.n_bits
-
-
-# set once the dataclass is made, whose bits= argument has the same name
-BitStream.bits = property(lambda self: np.unpackbits(self.packed, count=self.n_bits),
-                          doc="A fresh 0/1 uint8 copy of the bits.")
 
 
 def _check_bit_array(arr: np.ndarray) -> None:

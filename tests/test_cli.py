@@ -281,6 +281,14 @@ class TestDynamicsCommand:
         assert capsys.readouterr().err == f"error: {option} must be finite, got {value}\n"
         assert not list(tmp_path.iterdir())
 
+    def test_grid_span_beyond_binary64_exits_1_before_any_file(self, tmp_path, monkeypatch,
+                                                              capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["analyze-dynamics", "--what", "lyapunov", "--mu-min=-1.7e308",
+                    "--mu-max", "1.7e308", "--iterations", 100, "-o", "out.csv"]) == 1
+        assert capsys.readouterr().err == "error: --mu-max - --mu-min must be finite, got inf\n"
+        assert not list(tmp_path.iterdir())
+
     def test_nan_single_mu_is_a_grid_with_no_supported_value(self, tmp_path, monkeypatch,
                                                               capsys):
         monkeypatch.chdir(tmp_path)

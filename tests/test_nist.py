@@ -578,19 +578,17 @@ class TestSpectralWorker:
         (128, 0.5), (2**16 - 1, 0.5), (2**16 + 1, 0.5), (2**17 + 3, 0.5),
         (10**5 + 7, 0.5), (10**4, 0.0), (10**4, 1.0), (10**4 + 1, "alternating"),
     ])
-    def test_rows_equal_the_tests_called_one_by_one(self, monkeypatch, n, density):
+    def test_rows_equal_the_tests_called_one_by_one(self, n, density):
         bits = stream(n, density)
         other = bits[::-1].copy()
         for b in (bits, other):
             assert [repr(row) for row in stream_outcomes(b)] == rows_one_by_one(b)
-        # the battery's rows, as the loop returns them to it
-        seen = []
-        subset_rows = nist._subset_rows
-        monkeypatch.setattr(nist, "_subset_rows",
-                            lambda streams, n: seen.append(subset_rows(streams, n)) or seen[-1])
-        nist_battery([bits, other])
-        assert [[[repr(row) for row in rows] for rows in run] for run in seen] \
-            == [[rows_one_by_one(bits), rows_one_by_one(other)]]
+        # the battery keeps each stream's rows, and counts its entries from them
+        report = nist_battery([bits, other])
+        assert [[repr(row) for row in rows] for rows in report.rows] \
+            == [rows_one_by_one(bits), rows_one_by_one(other)]
+        for j, entry in enumerate(report.entries):
+            assert entry.passed_count == sum(rows[j].passed for rows in report.rows)
 
     def test_tests_run_on_the_calling_thread_and_one_worker_per_battery(self, monkeypatch):
         calls = []

@@ -260,6 +260,17 @@ class TestBitStream:
         assert len(stream) == n_bits
         assert np.array_equal(stream.bits, np.unpackbits(packed)[:n_bits])
 
+    def test_replace_without_bits_keeps_the_stored_bytes(self):
+        stream = generate_bits(make_key(61.81, 0.23), 1001)
+        # a new length is checked against the stored bytes, not repacked over
+        with pytest.raises(ValueError, match="^n_bits must be an integer >= 0 that packs into "
+                                             "the 126 bytes given, got 1000$"):
+            dataclasses.replace(stream, n_bits=1000)
+        changed = dataclasses.replace(stream, key_fingerprint="x")
+        assert changed.packed is stream.packed
+        assert (len(changed), changed.key_fingerprint, changed.degenerate) == \
+            (1001, "x", stream.degenerate)
+
 
 class TestQuantize:
     def test_zero(self):
